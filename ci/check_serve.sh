@@ -2,6 +2,9 @@
 # Serving gate: exercise the offline-to-online pipeline end-to-end and
 # fail on any snapshot-format or serving regression.
 #
+#   0. The brute-force reference serve::TopKUnseenItems has no caller
+#      under src/ outside serve/ranking.h (every production path ranks
+#      through the one item scan); a planted caller must be flagged.
 #   1. dgnn_cli trains on a synthetic dataset, saves parameters, and
 #      exports two embedding snapshots (--mode=export, distinct tags).
 #   2. dgnn_serve serves snapshot A over NDJSON: topk / score /
@@ -45,6 +48,32 @@ fi
 
 WORK_DIR="$(mktemp -d)"
 trap 'rm -rf "$WORK_DIR"' EXIT
+
+# ---- one ranking path: the reference stays a reference --------------------
+# serve::TopKUnseenItems is the brute-force yardstick that tests and
+# benchmarks compare the item scan against. Code under src/ must rank
+# through the item scan (TopKUnseenFromView) instead; reference_callers
+# prints every call site outside serve/ranking.h, where it is defined.
+reference_callers() {
+  grep -rnE --include='*.h' --include='*.cc' --include='*.cpp' \
+    '(^|[^A-Za-z0-9_])TopKUnseenItems\(' "$1" \
+    | grep -v "^$1/serve/ranking.h:" || true
+}
+if [[ -n "$(reference_callers src)" ]]; then
+  echo "check_serve: production code calls the reference TopKUnseenItems:" >&2
+  reference_callers src >&2
+  exit 1
+fi
+# Must-fail: the guard has to flag a planted caller.
+mkdir -p "$WORK_DIR/guard/serve" "$WORK_DIR/guard/train"
+cp src/serve/ranking.h "$WORK_DIR/guard/serve/"
+echo 'auto r = serve::TopKUnseenItems(u, items, seen, k);' \
+  > "$WORK_DIR/guard/train/planted.cc"
+if [[ -z "$(reference_callers "$WORK_DIR/guard")" ]]; then
+  echo "check_serve: guard missed a planted TopKUnseenItems caller" >&2
+  exit 1
+fi
+echo "check_serve: reference TopKUnseenItems has no production caller"
 
 "$CLI" --mode=generate --data_dir="$WORK_DIR/data" --preset=tiny
 "$CLI" --mode=train --data_dir="$WORK_DIR/data" --epochs=2 --batch=128 \

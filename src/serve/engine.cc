@@ -116,9 +116,9 @@ void ServingEngine::Swap(std::shared_ptr<const Snapshot> snapshot) {
                           : EmbeddingView(&snapshot->items);
   state->user_norms = ComputeRowNorms(state->users_view);
   if (snapshot->shard.empty()) {
-    // Unsharded: global addressing is the identity over the tensors (the
-    // seed-era behavior, kept independent of whatever the meta says so
-    // hand-built test snapshots keep working).
+    // Unsharded: global addressing is the identity over the tensors,
+    // independent of whatever the meta says, so hand-built test
+    // snapshots keep working.
     state->num_users_global = state->users_view.rows();
     state->num_items_global = state->items_view.rows();
   } else {
@@ -435,12 +435,10 @@ std::vector<float> ServingEngine::ComputeUserVector(const State& state,
   // applied — the Recommender-parity path for dense snapshots.
   if (alpha == 0.0f || neighbors.empty()) return vec;
   std::vector<float> mean(static_cast<size_t>(d), 0.0f);
-  std::vector<float> w(static_cast<size_t>(d));
+  std::vector<float> scratch(static_cast<size_t>(d));
   for (int32_t v : neighbors) {
-    users.DecodeRow(v, w.data());
-    for (int64_t c = 0; c < d; ++c) {
-      mean[static_cast<size_t>(c)] += w[static_cast<size_t>(c)];
-    }
+    const float* w = users.Row(v, scratch.data());
+    for (int64_t c = 0; c < d; ++c) mean[static_cast<size_t>(c)] += w[c];
   }
   const float inv = 1.0f / static_cast<float>(neighbors.size());
   for (int64_t c = 0; c < d; ++c) {
@@ -499,6 +497,65 @@ std::vector<float> ServingEngine::UserVector(const State& state,
   return vec;
 }
 
+void ServingEngine::RankItems(const State& state, const float* query,
+                              const std::vector<int32_t>* candidates,
+                              int32_t seen_user, int k, StageTimes* stages,
+                              Response* resp) {
+  if (query == nullptr) {
+    // Popularity ranking (count desc, id asc, ids already global); scores
+    // are raw train counts.
+    const size_t keep =
+        std::min<size_t>(static_cast<size_t>(k), state.popularity.size());
+    resp->items.assign(state.popularity.begin(),
+                       state.popularity.begin() +
+                           static_cast<int64_t>(keep));
+    resp->degraded = true;
+    CountDegraded();
+    return;
+  }
+  // Sharded snapshots keep global ids in their seen lists while the scan
+  // filters by LOCAL row, so shift when the slice does not start at 0.
+  const int32_t offset = static_cast<int32_t>(state.item_offset);
+  static const std::vector<int32_t> kNoSeen;
+  const std::vector<int32_t>* seen = &kNoSeen;
+  std::vector<int32_t> shifted;
+  if (seen_user >= 0) {
+    seen = &state.snap->seen[static_cast<size_t>(seen_user)];
+    if (offset != 0) {
+      shifted.reserve(seen->size());
+      for (int32_t it : *seen) shifted.push_back(it - offset);
+      seen = &shifted;
+    }
+  }
+  const int rerank =
+      config_.rerank > 0 ? config_.rerank : std::max(4 * k, 64);
+  resp->items = TopKUnseenFromView(
+      query, state.items_view, candidates, *seen, k, rerank,
+      stages != nullptr ? &stages->compute_seconds : nullptr,
+      stages != nullptr ? &stages->rank_seconds : nullptr);
+  for (ScoredItem& s : resp->items) s.item += offset;
+}
+
+void ServingEngine::RankUsers(const State& state, const float* query,
+                              float query_norm, int64_t exclude_row, int k,
+                              StageTimes* stages, Response* resp) const {
+  using Clock = std::chrono::steady_clock;
+  // The whole cosine scan is "compute".
+  Clock::time_point t0;
+  if (stages != nullptr) t0 = Clock::now();
+  resp->items = SimilarUsersByCosine(query, query_norm, state.users_view,
+                                     state.user_norms, exclude_row, k);
+  // Rows -> global user ids (the identity when unsharded).
+  if (!state.owned.empty()) {
+    for (ScoredItem& s : resp->items) {
+      s.item = state.owned[static_cast<size_t>(s.item)];
+    }
+  }
+  if (stages != nullptr) {
+    stages->compute_seconds = Seconds(t0, Clock::now());
+  }
+}
+
 void ServingEngine::CountDegraded() {
   n_degraded_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry::Enabled()) Metrics().degraded->Add(1);
@@ -523,38 +580,19 @@ Response ServingEngine::Execute(const State* state, const Request& request,
   const int64_t local_user =
       user_in_range ? state->LocalUserRow(request.user) : -1;
   const bool known_user = local_user >= 0;
-  const int32_t item_offset = static_cast<int32_t>(state->item_offset);
-  // Sharded snapshots keep global ids in their seen lists; the dense scan
-  // filters by LOCAL row, so shift when the slice does not start at 0.
-  std::vector<int32_t> seen_local_storage;
-  auto local_seen = [&](int32_t user) -> const std::vector<int32_t>& {
-    const std::vector<int32_t>& g = snap.seen[static_cast<size_t>(user)];
-    if (item_offset == 0) return g;
-    seen_local_storage.clear();
-    seen_local_storage.reserve(g.size());
-    for (int32_t it : g) seen_local_storage.push_back(it - item_offset);
-    return seen_local_storage;
-  };
-  auto globalize_items = [&](std::vector<ScoredItem>& items) {
-    if (item_offset == 0) return;
-    for (ScoredItem& s : items) s.item += item_offset;
-  };
+  const bool ranks = request.type == Request::Type::kTopK ||
+                     request.type == Request::Type::kSimilarUsers ||
+                     request.type == Request::Type::kTopKPartial ||
+                     request.type == Request::Type::kSimilarPartial;
+  if (ranks && request.k <= 0) {
+    resp.error = "k must be positive";
+    return resp;
+  }
   switch (request.type) {
     case Request::Type::kTopK: {
-      if (request.k <= 0) {
-        resp.error = "k must be positive";
-        return resp;
-      }
       if (!known_user) {
-        // Cold/unknown user: popularity ranking (count desc, id asc),
-        // scores are raw train counts.
-        const size_t keep = std::min<size_t>(
-            static_cast<size_t>(request.k), state->popularity.size());
-        resp.items.assign(state->popularity.begin(),
-                          state->popularity.begin() +
-                              static_cast<int64_t>(keep));
-        resp.degraded = true;
-        CountDegraded();
+        // Cold/unknown user: popularity ranking.
+        RankItems(*state, nullptr, nullptr, -1, request.k, stages, &resp);
         break;
       }
       Clock::time_point t0;
@@ -563,22 +601,9 @@ Response ServingEngine::Execute(const State* state, const Request& request,
       if (stages != nullptr) {
         stages->recal_seconds = Seconds(t0, Clock::now());
       }
-      const std::vector<int32_t>& seen = local_seen(request.user);
-      double* compute_s =
-          stages != nullptr ? &stages->compute_seconds : nullptr;
-      double* rank_s = stages != nullptr ? &stages->rank_seconds : nullptr;
-      const bool use_ivf = !snap.ivf.empty() && config_.nprobe > 0;
-      if (!use_ivf && state->items_view.dense()) {
-        // Dense brute force stays on the seed-era path — bit-identical to
-        // train::Recommender by construction.
-        resp.items = TopKUnseenItemsTimed(vec.data(), snap.items, seen,
-                                          request.k, compute_s, rank_s);
-        globalize_items(resp.items);
-        break;
-      }
       std::vector<int32_t> candidates;
       const std::vector<int32_t>* cand_ptr = nullptr;
-      if (use_ivf) {
+      if (!snap.ivf.empty() && config_.nprobe > 0) {
         // Rank the coarse lists against the scoring vector and gather the
         // top-nprobe lists' members as the candidate shortlist.
         std::vector<int32_t> lists;
@@ -598,13 +623,8 @@ Response ServingEngine::Execute(const State* state, const Request& request,
         }
         cand_ptr = &candidates;
       }
-      const int rerank = config_.rerank > 0
-                             ? config_.rerank
-                             : std::max(4 * request.k, 64);
-      resp.items =
-          TopKUnseenFromView(vec.data(), state->items_view, cand_ptr, seen,
-                             request.k, rerank, compute_s, rank_s);
-      globalize_items(resp.items);
+      RankItems(*state, vec.data(), cand_ptr, request.user, request.k,
+                stages, &resp);
       break;
     }
     case Request::Type::kScore: {
@@ -635,31 +655,17 @@ Response ServingEngine::Execute(const State* state, const Request& request,
       break;
     }
     case Request::Type::kSimilarUsers: {
-      if (request.k <= 0) {
-        resp.error = "k must be positive";
-        return resp;
-      }
       if (!known_user) {
         resp.degraded = true;
         CountDegraded();
         break;
       }
-      // No recalibration path here; the whole cosine scan is "compute".
-      Clock::time_point t0;
-      if (stages != nullptr) t0 = Clock::now();
-      std::vector<float> u(static_cast<size_t>(state->users_view.cols()));
-      state->users_view.DecodeRow(local_user, u.data());
-      resp.items = SimilarUsersByCosine(static_cast<int32_t>(local_user),
-                                        u.data(), state->users_view,
-                                        state->user_norms, request.k);
-      if (!state->owned.empty()) {
-        for (ScoredItem& s : resp.items) {
-          s.item = state->owned[static_cast<size_t>(s.item)];
-        }
-      }
-      if (stages != nullptr) {
-        stages->compute_seconds = Seconds(t0, Clock::now());
-      }
+      // No recalibration path here: the query is the user's own row.
+      std::vector<float> scratch(
+          static_cast<size_t>(state->users_view.cols()));
+      RankUsers(*state, state->users_view.Row(local_user, scratch.data()),
+                state->user_norms[static_cast<size_t>(local_user)],
+                local_user, request.k, stages, &resp);
       break;
     }
     case Request::Type::kUserVector: {
@@ -676,71 +682,31 @@ Response ServingEngine::Execute(const State* state, const Request& request,
       break;
     }
     case Request::Type::kTopKPartial: {
-      if (request.k <= 0) {
-        resp.error = "k must be positive";
-        return resp;
-      }
-      if (request.popularity) {
-        const size_t keep = std::min<size_t>(
-            static_cast<size_t>(request.k), state->popularity.size());
-        resp.items.assign(state->popularity.begin(),
-                          state->popularity.begin() +
-                              static_cast<int64_t>(keep));
-        resp.degraded = true;
-        CountDegraded();
-        break;
-      }
-      if (static_cast<int64_t>(request.query.size()) !=
-          state->items_view.cols()) {
+      // `popularity` asks for this slice of the fallback ranking (the
+      // router's down/unknown user-shard path); no query is needed.
+      if (!request.popularity &&
+          static_cast<int64_t>(request.query.size()) !=
+              state->items_view.cols()) {
         resp.error = "query dimension mismatch";
         return resp;
       }
       // Seen exclusion uses the GLOBAL user's list regardless of which
       // shard owns the user — same filter the single-process scan
       // applies, restricted to this slice.
-      static const std::vector<int32_t> kNoSeen;
-      const std::vector<int32_t>* seen = &kNoSeen;
-      if (user_in_range) seen = &local_seen(request.user);
-      double* compute_s =
-          stages != nullptr ? &stages->compute_seconds : nullptr;
-      double* rank_s =
-          stages != nullptr ? &stages->rank_seconds : nullptr;
-      if (state->items_view.dense()) {
-        resp.items =
-            TopKUnseenItemsTimed(request.query.data(), snap.items, *seen,
-                                 request.k, compute_s, rank_s);
-      } else {
-        resp.items = TopKUnseenFromView(
-            request.query.data(), state->items_view, nullptr, *seen,
-            request.k, request.k, compute_s, rank_s);
-      }
-      globalize_items(resp.items);
+      RankItems(*state, request.popularity ? nullptr : request.query.data(),
+                nullptr, user_in_range ? request.user : -1, request.k,
+                stages, &resp);
       break;
     }
     case Request::Type::kSimilarPartial: {
-      if (request.k <= 0) {
-        resp.error = "k must be positive";
-        return resp;
-      }
       if (static_cast<int64_t>(request.query.size()) !=
           state->users_view.cols()) {
         resp.error = "query dimension mismatch";
         return resp;
       }
-      Clock::time_point t0;
-      if (stages != nullptr) t0 = Clock::now();
       // Exclude the query user's own row only if this shard holds it.
-      resp.items = SimilarUsersPartial(
-          request.query.data(), request.query_norm, state->users_view,
-          state->user_norms, known_user ? local_user : -1, request.k);
-      if (!state->owned.empty()) {
-        for (ScoredItem& s : resp.items) {
-          s.item = state->owned[static_cast<size_t>(s.item)];
-        }
-      }
-      if (stages != nullptr) {
-        stages->compute_seconds = Seconds(t0, Clock::now());
-      }
+      RankUsers(*state, request.query.data(), request.query_norm,
+                known_user ? local_user : -1, request.k, stages, &resp);
       break;
     }
     case Request::Type::kScoreItem: {

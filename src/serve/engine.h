@@ -28,10 +28,14 @@
 //    passed while it queued fails fast with "deadline exceeded" rather
 //    than burning batch capacity on an answer its client stopped
 //    waiting for.
-//  - Determinism. With social_alpha == 0 (the default) results are
-//    bit-identical to a direct train::Recommender over the same
-//    parameters for any thread count and any batching — both rank
-//    through serve/ranking.h.
+//  - Determinism. Every ranking op (TopK, SimilarUsers and the two
+//    shard-worker partials) goes through the one item scan and the one
+//    user scan in serve/ranking.h — the same two functions
+//    train::Recommender calls — whatever the snapshot's storage. With
+//    social_alpha == 0 (the default) and dense storage, results are
+//    therefore bit-identical to a direct Recommender over the same
+//    parameters, and to the brute-force TopKUnseenItems reference, for
+//    any thread count and any batching.
 //
 // Telemetry (when telemetry::Enabled()): counters serve.cache_hits,
 // serve.cache_misses, serve.snapshot_swaps, serve.degraded_requests,
@@ -371,6 +375,20 @@ class ServingEngine {
   std::vector<float> UserVector(const State& state, int32_t user);
   std::vector<float> ComputeUserVector(const State& state,
                                        int32_t user) const;
+  // The two TopK-shaped ops (kTopK, kTopKPartial): the popularity slice
+  // when `query` is null (degraded), else the item scan over this
+  // snapshot's slice with `seen_user`'s seen list excluded (-1 = none)
+  // and a quantized shortlist of config rerank (or max(4k, 64)) rows
+  // reranked exactly. Item ids in resp->items come back global.
+  void RankItems(const State& state, const float* query,
+                 const std::vector<int32_t>* candidates, int32_t seen_user,
+                 int k, StageTimes* stages, Response* resp);
+  // The two similar ops (kSimilarUsers, kSimilarPartial): the cosine user
+  // scan against `query`, skipping `exclude_row` (-1 = none). User ids
+  // in resp->items come back global.
+  void RankUsers(const State& state, const float* query, float query_norm,
+                 int64_t exclude_row, int k, StageTimes* stages,
+                 Response* resp) const;
   void CountDegraded();
 
   const EngineConfig config_;

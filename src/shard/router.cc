@@ -77,10 +77,10 @@ class Router::OpGuard {
   }
   ~OpGuard() {
     if (!admitted_) return;
-    {
-      std::lock_guard<std::mutex> lock(r_->drain_mu_);
-      --r_->inflight_ops_;
-    }
+    // Under the lock, as in DecAttempts: the router may be destroyed as
+    // soon as Stop() observes zero ops.
+    std::lock_guard<std::mutex> lock(r_->drain_mu_);
+    --r_->inflight_ops_;
     r_->drain_cv_.notify_all();
   }
   OpGuard(const OpGuard&) = delete;
@@ -103,10 +103,10 @@ void Router::IncAttempts() {
 }
 
 void Router::DecAttempts() {
-  {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    --inflight_attempts_;
-  }
+  // Notify under the lock: Stop() may return, and ~Router destroy
+  // drain_cv_, as soon as it observes zero attempts.
+  std::lock_guard<std::mutex> lock(drain_mu_);
+  --inflight_attempts_;
   drain_cv_.notify_all();
 }
 

@@ -18,7 +18,7 @@ Recommender::Recommender(models::RecModel& model,
   DGNN_CHECK_EQ(items_.rows(), dataset.num_items);
   seen_ = dataset.TrainItemsByUser();
   // Precomputed once so SimilarUsers never re-derives norms per call.
-  user_norms_ = serve::ComputeRowNorms(users_);
+  user_norms_ = serve::ComputeRowNorms(serve::EmbeddingView(&users_));
 }
 
 float Recommender::Score(int32_t user, int32_t item) const {
@@ -37,8 +37,12 @@ std::vector<ScoredItem> Recommender::TopK(int32_t user, int k) const {
       telemetry::GetHistogram("serve.topk_seconds");
   telemetry::ScopedLatency record_latency(latency);
   telemetry::ScopedSpan span("topk", "serve");
-  return serve::TopKUnseenItems(users_.row(user), items_,
-                                seen_[static_cast<size_t>(user)], k);
+  // Views are built per call, never stored: the class is copyable and a
+  // stored view would keep pointing at the source object's tensors.
+  return serve::TopKUnseenFromView(users_.row(user),
+                                   serve::EmbeddingView(&items_),
+                                   /*candidates=*/nullptr,
+                                   seen_[static_cast<size_t>(user)], k);
 }
 
 std::vector<ScoredItem> Recommender::SimilarUsers(int32_t user,
@@ -49,7 +53,9 @@ std::vector<ScoredItem> Recommender::SimilarUsers(int32_t user,
       telemetry::GetHistogram("serve.similar_users_seconds");
   telemetry::ScopedLatency record_latency(latency);
   telemetry::ScopedSpan span("similar_users", "serve");
-  return serve::SimilarUsersByCosine(user, users_, user_norms_, k);
+  return serve::SimilarUsersByCosine(
+      users_.row(user), user_norms_[static_cast<size_t>(user)],
+      serve::EmbeddingView(&users_), user_norms_, user, k);
 }
 
 }  // namespace dgnn::train

@@ -16,8 +16,9 @@
 
 namespace dgnn::train {
 
-// Ranking types are shared with the serving engine (serve/ranking.h) so
-// both surfaces order candidates identically by construction.
+// Ranking is shared with the serving engine: both call the one item scan
+// and the one user scan in serve/ranking.h, so the two surfaces order
+// candidates identically by construction.
 using serve::ScoredItem;
 
 class Recommender {

@@ -239,8 +239,17 @@ TEST_F(IvfTest, FullProbeWithFullRerankMatchesBruteForce) {
   }
   ASSERT_EQ(candidates.size(), static_cast<size_t>(rows));
 
-  // Dense view over the candidate set: same ids, same scores.
+  // Dense view over the full catalog (no candidates): the serving scan
+  // itself, which must equal the reference byte for byte.
   serve::EmbeddingView dense_view(&items);
+  const std::vector<serve::ScoredItem> full_scan =
+      serve::TopKUnseenFromView(u.data(), dense_view, nullptr, seen, k);
+  ASSERT_EQ(full_scan.size(), brute.size());
+  EXPECT_EQ(std::memcmp(full_scan.data(), brute.data(),
+                        brute.size() * sizeof(serve::ScoredItem)),
+            0);
+
+  // Dense view over the candidate set: same ids, same scores.
   const std::vector<serve::ScoredItem> via_dense =
       serve::TopKUnseenFromView(u.data(), dense_view, &candidates, seen, k,
                                 static_cast<int>(rows), nullptr, nullptr);

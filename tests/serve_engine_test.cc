@@ -19,6 +19,7 @@
 #include "serve/ranking.h"
 #include "serve/snapshot.h"
 #include "train/recommender.h"
+#include "util/rng.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
 
@@ -106,6 +107,16 @@ TEST_F(ServeEngineTest, MatchesRecommenderBitIdenticallyAcrossThreads) {
         EXPECT_EQ(got.items[i].item, want[i].item);
         EXPECT_EQ(got.items[i].score, want[i].score);  // exact float
       }
+      // Both surfaces share the item scan, so agreeing with each other
+      // does not check it: hold it to the brute-force reference too.
+      const auto reference = serve::TopKUnseenItems(
+          snapshot_->users.row(u), snapshot_->items,
+          snapshot_->seen[static_cast<size_t>(u)], k);
+      ASSERT_EQ(got.items.size(), reference.size()) << "threads " << threads;
+      EXPECT_EQ(std::memcmp(got.items.data(), reference.data(),
+                            reference.size() * sizeof(ScoredItem)),
+                0)
+          << "user " << u << " threads " << threads;
       Request score_req;
       score_req.type = Request::Type::kScore;
       score_req.user = u;
@@ -498,7 +509,7 @@ TEST_F(QuantServeTest, FullProbeIvfMatchesBruteForceBitForBit) {
 
 TEST_F(QuantServeTest, NprobeZeroFallsBackToBruteForce) {
   // An index in the snapshot is inert until --nprobe opts in: the default
-  // config must take the seed brute-force path and stay bit-identical.
+  // config must scan the full catalog and stay bit-identical.
   ServingEngine plain;
   plain.Swap(snapshot_);
   ServingEngine with_index;  // default config: nprobe = 0
@@ -512,6 +523,67 @@ TEST_F(QuantServeTest, NprobeZeroFallsBackToBruteForce) {
       EXPECT_EQ(got.items[i].item, want.items[i].item);
       EXPECT_EQ(got.items[i].score, want.items[i].score);
     }
+  }
+}
+
+TEST_F(QuantServeTest, TopKPartialMatchesTopKOnQuantizedSnapshot) {
+  // Both TopK-shaped ops share one helper, so on an unsharded int8
+  // snapshot a kTopKPartial over the user's own kUserVector query must
+  // rerank the same shortlist as kTopK and return exactly its answer.
+  // The catalog is one big tie: every item row shares the int8 scale and
+  // the code sum, and every user row is the same constant, so all exact
+  // scores are equal and only float rounding orders them — differently
+  // in the quantized shortlist scan and in the decoded-row rerank. A
+  // shortlist of only k rows then returns a different top-k.
+  auto snap = std::make_shared<Snapshot>(*snapshot_);
+  const int64_t d = snap->items.cols();
+  ASSERT_GE(d, 3);
+  util::Rng rng(17);
+  for (int64_t i = 0; i < snap->items.rows(); ++i) {
+    float* row = snap->items.row(i);
+    row[0] = 1.0f;  // code 127, scale 1/127 on every row
+    // Codes 1..126 with a fixed sum: start level, then move random
+    // amounts between random pairs of components.
+    std::vector<int> codes(static_cast<size_t>(d), 60);
+    for (int step = 0; step < 16; ++step) {
+      const size_t from = 1 + rng.UniformInt(d - 1);
+      const size_t to = 1 + rng.UniformInt(d - 1);
+      const int t = std::min<int>(1 + static_cast<int>(rng.UniformInt(30)),
+                                  std::min(codes[from] - 1, 126 - codes[to]));
+      codes[from] -= t;
+      codes[to] += t;
+    }
+    for (int64_t c = 1; c < d; ++c) {
+      row[c] = static_cast<float>(codes[static_cast<size_t>(c)]) / 127.0f;
+    }
+  }
+  for (int64_t u = 0; u < snap->users.rows(); ++u) {
+    std::fill(snap->users.row(u), snap->users.row(u) + d, 0.1f);
+  }
+  ASSERT_TRUE(serve::QuantizeSnapshot(snap.get(), quant::Codec::kInt8).ok());
+  ServingEngine engine;  // social_alpha = 0, nprobe = 0
+  engine.Swap(snap);
+  const int k = 10;
+  for (int32_t u = 0; u < dataset_.num_users; ++u) {
+    Request vec_req;
+    vec_req.type = Request::Type::kUserVector;
+    vec_req.user = u;
+    const Response vec = engine.Handle(vec_req);
+    ASSERT_TRUE(vec.ok);
+    Request part;
+    part.type = Request::Type::kTopKPartial;
+    part.user = u;
+    part.k = k;
+    part.query = vec.vector;
+    const Response got = engine.Handle(part);
+    const Response want = engine.Handle(TopKRequest(u, k));
+    ASSERT_TRUE(got.ok) << got.error;
+    ASSERT_TRUE(want.ok) << want.error;
+    ASSERT_EQ(got.items.size(), want.items.size()) << "user " << u;
+    EXPECT_EQ(std::memcmp(got.items.data(), want.items.data(),
+                          want.items.size() * sizeof(ScoredItem)),
+              0)
+        << "user " << u;
   }
 }
 
