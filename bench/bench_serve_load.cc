@@ -81,7 +81,6 @@
 #include "serve/snapshot.h"
 #include "serve/trace.h"
 #include "train/recommender.h"
-#include "util/fs.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -258,27 +257,8 @@ StageMeans ReadStageMeans() {
 std::string OpenPointJson(double target_qps, const serve::ReplayResult& r,
                           const StageMeans& stages, int64_t snapshot_bytes,
                           double recall_at_k) {
-  util::JsonObject o;
-  o.Set("target_qps", target_qps)
-      .Set("requests", r.requests)
-      .Set("seconds", r.seconds)
-      .Set("offered_qps", r.offered_qps)
-      .Set("achieved_qps", r.achieved_qps)
-      .Set("p50_ms", r.p50_ms)
-      .Set("p95_ms", r.p95_ms)
-      .Set("p99_ms", r.p99_ms)
-      .Set("max_ms", r.max_ms)
-      .Set("mean_ms", r.mean_ms)
-      .Set("ok", r.ok)
-      .Set("degraded", r.degraded)
-      .Set("shed", r.shed)
-      .Set("expired", r.expired)
-      .Set("failed", r.failed)
-      .Set("late_dispatches", r.late_dispatches)
-      .Set("max_lateness_ms", r.max_lateness_ms)
-      .Set("peak_rss_bytes", r.peak_rss_bytes)
-      .Set("distinct_trace_ids", r.distinct_trace_ids)
-      .Set("stage_queue_ms_mean", stages.queue_ms)
+  util::JsonObject o = serve::BenchPointJson(target_qps, r);
+  o.Set("stage_queue_ms_mean", stages.queue_ms)
       .Set("stage_recal_ms_mean", stages.recal_ms)
       .Set("stage_compute_ms_mean", stages.compute_ms)
       .Set("stage_rank_ms_mean", stages.rank_ms)
@@ -303,45 +283,11 @@ std::string ClosedPointJson(const SweepResult& r) {
   return o.Build();
 }
 
-// Snapshot storage / retrieval configuration stamped into the JSON
-// header so committed trajectory points are self-describing (an IVF
-// point and its brute-force baseline differ only here).
-struct StorageInfo {
-  std::string quant = "none";
-  bool index = false;
-  int nprobe = 0;
-  int rerank = 0;
-  std::string mix = "default";
-};
-
-int WriteBenchJson(const std::string& path, const std::string& mode,
-                   const std::string& preset, int dim, int k,
-                   const std::string& arrival, int workers,
-                   const StorageInfo& storage,
-                   const std::vector<std::string>& points) {
-  std::string arr = "[";
-  for (size_t i = 0; i < points.size(); ++i) {
-    if (i > 0) arr += ',';
-    arr += points[i];
-  }
-  arr += ']';
-  util::JsonObject o;
-  o.Set("schema_version", 2)
-      .Set("bench", "bench_serve_load")
-      .Set("mode", mode)
-      .Set("preset", preset)
-      .Set("dim", dim)
-      .Set("k", k)
-      .Set("quant", storage.quant)
-      .Set("index", storage.index)
-      .Set("nprobe", storage.nprobe)
-      .Set("rerank", storage.rerank);
-  if (mode == "open") {
-    o.Set("arrival", arrival).Set("workers", workers)
-        .Set("mix", storage.mix);
-  }
-  o.SetRaw("points", arr);
-  util::Status s = fs::AtomicWriteFile(path, o.Build() + "\n");
+// Writes the bench file; the header's storage / retrieval fields make
+// committed trajectory points self-describing (an IVF point and its
+// brute-force baseline differ only there).
+int WriteBenchJson(const std::string& path, const serve::BenchFile& file) {
+  util::Status s = serve::WriteBenchFile(path, file);
   if (!s.ok()) {
     std::fprintf(stderr, "bench-json: %s\n", s.ToString().c_str());
     return 1;
@@ -402,11 +348,14 @@ int main(int argc, char** argv) {
   const bool build_index = flags.GetBool("index", false);
   const bool approx_path =
       quant_name != "none" || (build_index && engine_config.nprobe > 0);
-  StorageInfo storage;
-  storage.quant = quant_name;
-  storage.index = build_index;
-  storage.nprobe = engine_config.nprobe;
-  storage.rerank = engine_config.rerank;
+  serve::BenchFile bench_file;
+  bench_file.bench = "bench_serve_load";
+  bench_file.dim = zoo.embedding_dim;
+  bench_file.k = k;
+  bench_file.quant = quant_name;
+  bench_file.index = build_index;
+  bench_file.nprobe = engine_config.nprobe;
+  bench_file.rerank = engine_config.rerank;
   const int recall_users =
       static_cast<int>(flags.GetInt("recall-users", 256));
   std::vector<int32_t> recall_user_ids;
@@ -569,7 +518,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--mix must be default or topk\n");
       return 2;
     }
-    storage.mix = mix;
+    bench_file.mix = mix;
 
     std::vector<double> qps_sweep;
     for (const std::string& tok :
@@ -601,7 +550,6 @@ int main(int argc, char** argv) {
     util::Table table({"target_qps", "requests", "achieved_qps", "p50_ms",
                        "p95_ms", "p99_ms", "shed", "expired", "late",
                        "rss_mb", "snap_mb", "recall"});
-    std::vector<std::string> points;
     std::vector<std::string> stage_lines;
     for (double target : qps_sweep) {
       serve::Trace trace;
@@ -656,7 +604,7 @@ int main(int argc, char** argv) {
           target, stages.queue_ms, stages.recal_ms, stages.compute_ms,
           stages.rank_ms, stages.reply_ms, stages.e2e_ms,
           (long long)r.distinct_trace_ids, (long long)r.requests));
-      points.push_back(
+      bench_file.points.push_back(
           OpenPointJson(target, r, stages, snapshot_bytes, recall_at_k));
       if (!replay_path.empty()) break;  // a file trace is one point
     }
@@ -667,10 +615,11 @@ int main(int argc, char** argv) {
       std::printf("%s\n", line.c_str());
     }
     if (!bench_json.empty()) {
-      return WriteBenchJson(bench_json, "open", dataset.name,
-                            (int)zoo.embedding_dim, k,
-                            serve::ArrivalProcessName(schedule.arrival),
-                            replay_config.workers, storage, points);
+      bench_file.mode = "open";
+      bench_file.preset = dataset.name;
+      bench_file.arrival = serve::ArrivalProcessName(schedule.arrival);
+      bench_file.workers = replay_config.workers;
+      return WriteBenchJson(bench_json, bench_file);
     }
     return 0;
   }
@@ -699,7 +648,6 @@ int main(int argc, char** argv) {
 
   util::Table table({"clients", "requests", "seconds", "qps", "p50_ms",
                      "p95_ms", "p99_ms", "cache_hit", "batches"});
-  std::vector<std::string> points;
   for (int clients : client_sweep) {
     // Warm-up pass so first-touch costs (page faults, cache fill) don't
     // skew the smallest sweep point.
@@ -712,13 +660,13 @@ int main(int argc, char** argv) {
                   bench::Fmt4(r.p50_ms), bench::Fmt4(r.p95_ms),
                   bench::Fmt4(r.p99_ms), bench::Fmt4(r.cache_hit_rate),
                   std::to_string(r.batches)});
-    points.push_back(ClosedPointJson(r));
+    bench_file.points.push_back(ClosedPointJson(r));
   }
   table.Print();
   if (!bench_json.empty()) {
-    return WriteBenchJson(bench_json, "closed", dataset.name,
-                          (int)zoo.embedding_dim, k, "", 0, storage,
-                          points);
+    bench_file.mode = "closed";
+    bench_file.preset = dataset.name;
+    return WriteBenchJson(bench_json, bench_file);
   }
   return 0;
 }

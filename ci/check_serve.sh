@@ -20,9 +20,14 @@
 #      dropped) and snapshot_version bumps across the swap.
 #   5. {"op":"reload"} re-reads --snapshot from disk and also bumps the
 #      version.
-#   6. bench_serve_load runs at a small scale and must report qps and
+#   6. Door parity: the same scripted requests (every client op, the
+#      shard-worker ops, malformed lines) sent to one dgnn_serve on stdin
+#      and to a second one on its --listen socket must get the same
+#      replies once trace_id and the time-dependent stats fields are
+#      dropped; a planted mismatch must be flagged.
+#   7. bench_serve_load runs at a small scale and must report qps and
 #      p50/p95/p99 columns.
-#   7. Overload control, on a FRESH server instance so the exact-count
+#   8. Overload control, on a FRESH server instance so the exact-count
 #      stats assertions above stay untouched: with --max-queue small and
 #      a DGNN_FAILPOINTS="serve.execute=delay:..." slowdown, a burst of
 #      concurrent requests must be partially SHED (fast "overloaded"
@@ -188,6 +193,111 @@ assert kinds[0] == "serve_start" and kinds[-1] == "serve_end", kinds
 assert kinds.count("snapshot_swap") == 3, kinds  # incl. the failed one
 assert any(e["event"] == "snapshot_swap" and not e["ok"] for e in events)
 print("check_serve: NDJSON session valid")
+EOF
+
+# ---- door parity: stdin and the --listen socket answer alike --------------
+# Two fresh servers on the same snapshot and flags: one is asked on stdin,
+# the other on its socket, request for request. Replies are compared
+# after dropping trace_id, the rolling "windows" / "slo" blocks of the
+# stats reply and the sample values of the Prometheus text (all
+# time-dependent); everything else must match exactly.
+python3 - "$SERVE" "$WORK_DIR" <<'EOF'
+import json, os, re, socket, subprocess, sys, time
+
+serve, work = sys.argv[1], sys.argv[2]
+requests = [
+    {"op": "topk", "user": 3, "k": 5},
+    {"op": "score", "user": 3, "item": 7},
+    {"op": "similar_users", "user": 3, "k": 3},
+    {"op": "topk", "user": 999999, "k": 5},
+    {"op": "topk", "user": 3, "k": 0},
+    {"op": "frobnicate"},
+    "not json",
+    {"op": "stats"},
+    {"op": "stats", "format": "prom"},
+    {"op": "stats", "format": "xml"},
+    {"op": "swap"},
+    {"op": "swap", "snapshot": f"{work}/snap_b.bin"},
+    {"op": "swap", "snapshot": f"{work}/snap_flip.bin"},
+    {"op": "reload"},
+    {"op": "probe"},
+    {"op": "user_vector", "user": 3},
+    {"op": "topk_partial", "k": 3, "popularity": True},
+    {"op": "score_item", "item": 2, "query": "x"},
+    {"op": "swap_abort", "token": "t"},
+    {"op": "burst", "n": 8, "user": 3, "k": 5},
+    {"op": "burst", "n": 0},
+    {"op": "topk", "user": 5, "k": 4},
+]
+lines = [r if isinstance(r, str) else json.dumps(r) for r in requests]
+
+def start(tag):
+    sock = f"{work}/door_{tag}.sock"
+    proc = subprocess.Popen(
+        [serve, f"--snapshot={work}/snap_a.bin", f"--listen={sock}"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True)
+    deadline = time.time() + 30
+    while not os.path.exists(sock):
+        assert proc.poll() is None and time.time() < deadline, \
+            f"{tag} server never listened"
+        time.sleep(0.02)
+    return proc, sock
+
+stdin_proc, _ = start("stdin")
+stdin_replies = []
+for line in lines:
+    stdin_proc.stdin.write(line + "\n")
+    stdin_proc.stdin.flush()
+    stdin_replies.append(json.loads(stdin_proc.stdout.readline()))
+
+sock_proc, sock_path = start("socket")
+conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+conn.connect(sock_path)
+stream = conn.makefile("rw")
+socket_replies = []
+for line in lines:
+    stream.write(line + "\n")
+    stream.flush()
+    socket_replies.append(json.loads(stream.readline()))
+conn.close()
+
+for proc in (stdin_proc, sock_proc):
+    proc.stdin.close()
+    assert proc.wait(timeout=30) == 0
+
+def normalized(reply):
+    reply = {k: v for k, v in reply.items()
+             if k not in ("trace_id", "windows", "slo")}
+    if "text" in reply:
+        reply["text"] = re.sub(r" \S+$", " V", reply["text"], flags=re.M)
+    return reply
+
+def mismatches(a, b):
+    bad = [(lines[i], x, y) for i, (x, y) in enumerate(zip(a, b))
+           if normalized(x) != normalized(y)]
+    if len(a) != len(b):
+        bad.append(("<reply count>", len(a), len(b)))
+    return bad
+
+bad = mismatches(stdin_replies, socket_replies)
+for line, x, y in bad:
+    print(f"check_serve: door mismatch for {line}\n  stdin:  {x}\n"
+          f"  socket: {y}", file=sys.stderr)
+assert not bad, "stdin and socket replies differ"
+ok_ops = {r.get("op") for r in stdin_replies if r["ok"]}
+for op in ("topk", "score", "similar_users", "stats", "swap", "reload",
+           "burst", "probe"):
+    assert op in ok_ops, f"no successful {op} reply in the script: {ok_ops}"
+
+# Must-fail: a socket that ignores "format":"prom" (answering with the
+# JSON stats instead) has to be flagged.
+planted = list(socket_replies)
+planted[lines.index('{"op": "stats", "format": "prom"}')] = \
+    socket_replies[lines.index('{"op": "stats"}')]
+assert mismatches(stdin_replies, planted), \
+    "door parity check missed a planted mismatch"
+print(f"check_serve: stdin and --listen replies match ({len(lines)} requests)")
 EOF
 
 # ---- overload control: shedding, deadlines, graceful SIGTERM drain --------

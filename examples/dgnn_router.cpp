@@ -14,7 +14,8 @@
 //   dgnn_serve --snapshot=snap.shard2of3 --listen=/tmp/s2.sock &
 //   dgnn_router --shards=/tmp/s0.sock,/tmp/s1.sock,/tmp/s2.sock
 //
-// Requests (stdin, one JSON per line — same shapes as dgnn_serve):
+// Requests (stdin, one JSON per line — same shapes as dgnn_serve, and
+// the client ops answer through the same formatter, shard::ClientReply):
 //   {"op":"topk","user":3,"k":10}
 //   {"op":"score","user":3,"item":7}
 //   {"op":"similar_users","user":3,"k":5}
@@ -36,8 +37,9 @@
 // Health probing: --probe-interval-ms / --probe-timeout-ms drive the
 // per-shard healthy/degraded/down state machine shown by "stats".
 //
-// SIGTERM/SIGINT drain: installed without SA_RESTART so the blocking
-// stdin read is interrupted; the router waits for every in-flight
+// SIGTERM/SIGINT drain: the stdin loop (shard::ServeStdin, shared with
+// dgnn_serve) installs them without SA_RESTART so the blocking stdin
+// read is interrupted; the router waits for every in-flight
 // scatter/gather (hedged stragglers included) before emitting serve_end
 // to --run-log and exiting 0.
 //
@@ -49,18 +51,14 @@
 // summary line; --bench-json additionally writes a schema_version-2
 // bench file (bench:"dgnn_router") that `dgnn_inspect bench` validates.
 
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
 #include <string>
-#include <vector>
 
 #include "serve/replay.h"
 #include "serve/trace.h"
 #include "shard/router.h"
+#include "shard/transport.h"
 #include "shard/wire.h"
 #include "util/flags.h"
 #include "util/json.h"
@@ -71,81 +69,26 @@ namespace {
 
 using namespace dgnn;
 
-volatile std::sig_atomic_t g_shutdown_requested = 0;
-void OnShutdown(int) { g_shutdown_requested = 1; }
-
-void PrintLine(const std::string& json) {
-  std::fputs(json.c_str(), stdout);
-  std::fputc('\n', stdout);
-  std::fflush(stdout);
+// One client request through the fleet; stdin and --replay-trace share it.
+serve::Response Route(shard::Router& router, const serve::Request& request) {
+  switch (request.type) {
+    case serve::Request::Type::kScore:
+      return router.Score(request.user, request.item, request.timeout_ms);
+    case serve::Request::Type::kSimilarUsers:
+      return router.SimilarUsers(request.user, request.k, request.timeout_ms);
+    default:
+      return router.TopK(request.user, request.k, request.timeout_ms);
+  }
 }
 
-void RespondError(const std::string& message) {
-  util::JsonObject o;
-  o.Set("ok", false).Set("error", message);
-  PrintLine(o.Build());
-}
-
-std::string MissingJson(const std::vector<int32_t>& missing) {
-  std::string out = "[";
-  for (size_t i = 0; i < missing.size(); ++i) {
-    if (i > 0) out += ",";
-    out += std::to_string(missing[i]);
-  }
-  out += "]";
-  return out;
-}
-
-// dgnn_serve-shaped response line for a router op. Keeps the field
-// order of dgnn_serve's Dispatch so single-process and routed replies
-// diff cleanly; missing_shards appears only on partial answers.
-void PrintResponse(const std::string& op, int32_t user, int32_t item,
-                   int k, const serve::Response& resp) {
-  if (!resp.ok) {
-    util::JsonObject o;
-    o.Set("ok", false).Set("error", resp.error).Set("trace_id",
-                                                    resp.trace_id);
-    PrintLine(o.Build());
-    return;
-  }
-  util::JsonObject o;
-  o.Set("ok", true)
-      .Set("op", op)
-      .Set("user", static_cast<int64_t>(user))
-      .Set("trace_id", resp.trace_id)
-      .Set("degraded", resp.degraded)
-      .Set("snapshot_version", resp.snapshot_version);
-  if (op == "score") {
-    o.Set("item", static_cast<int64_t>(item))
-        .Set("score", static_cast<double>(resp.score));
-  } else {
-    o.Set("k", static_cast<int64_t>(k))
-        .SetRaw("items", shard::ItemsJson(resp.items));
-  }
-  if (!resp.missing_shards.empty()) {
-    o.SetRaw("missing_shards", MissingJson(resp.missing_shards));
-  }
-  PrintLine(o.Build());
-}
-
-// Serves one parsed request line; returns false once "quit" was handled.
-bool Dispatch(shard::Router& router, const util::JsonValue& req) {
+// Answers one parsed stdin request (ServeStdin owns quit and bad JSON).
+std::string Dispatch(shard::Router& router, const util::JsonValue& req) {
   const std::string op = req.StringOr("op", "");
-  if (op == "quit") {
-    util::JsonObject o;
-    o.Set("ok", true).Set("op", op);
-    PrintLine(o.Build());
-    return false;
-  }
-  if (op == "stats") {
-    PrintLine(router.StatsJson());
-    return true;
-  }
+  if (op == "stats") return router.StatsJson();
   if (op == "swap") {
     const std::string prefix = req.StringOr("snapshot", "");
     if (prefix.empty()) {
-      RespondError("swap requires a \"snapshot\" path");
-      return true;
+      return shard::ErrorReply("swap requires a \"snapshot\" path");
     }
     auto version = router.CoordinatedSwap(prefix);
     if (runlog::Active()) {
@@ -160,93 +103,18 @@ bool Dispatch(shard::Router& router, const util::JsonValue& req) {
       }
       runlog::Emit("coordinated_swap", o);
     }
-    if (!version.ok()) {
-      RespondError(version.status().ToString());
-      return true;
-    }
+    if (!version.ok()) return shard::ErrorReply(version.status().ToString());
     util::JsonObject o;
     o.Set("ok", true).Set("op", op).Set("snapshot_version",
                                         version.value());
-    PrintLine(o.Build());
-    return true;
+    return o.Build();
   }
-
-  const auto user = static_cast<int32_t>(req.NumberOr("user", -1));
-  const auto item = static_cast<int32_t>(req.NumberOr("item", -1));
-  const int k = static_cast<int>(req.NumberOr("k", 10));
-  const auto deadline_ms =
-      static_cast<int64_t>(req.NumberOr("deadline_ms", 0));
-  if (op == "topk") {
-    PrintResponse(op, user, item, k, router.TopK(user, k, deadline_ms));
-  } else if (op == "score") {
-    PrintResponse(op, user, item, k,
-                  router.Score(user, item, deadline_ms));
-  } else if (op == "similar_users") {
-    PrintResponse(op, user, item, k,
-                  router.SimilarUsers(user, k, deadline_ms));
-  } else {
-    RespondError("unknown op '" + op + "'");
+  serve::Request::Type type;
+  if (!shard::ClientOpType(op, &type)) {
+    return shard::ErrorReply("unknown op '" + op + "'");
   }
-  return true;
-}
-
-// --bench-json: one open-mode schema_version-2 point in the exact shape
-// `dgnn_inspect bench` validates (ValidateBenchPoint), so router runs
-// slot into the same trajectory tooling as bench_serve_load results.
-int WriteBenchJson(const std::string& path, const std::string& preset,
-                   const std::string& arrival, int workers, int64_t dim,
-                   int64_t snapshot_bytes, int num_shards,
-                   int killed_shards, const serve::ReplayResult& r,
-                   const shard::RouterCounters& c) {
-  util::JsonObject point;
-  point.Set("target_qps", r.offered_qps)
-      .Set("offered_qps", r.offered_qps)
-      .Set("achieved_qps", r.achieved_qps)
-      .Set("requests", r.requests)
-      .Set("seconds", r.seconds)
-      .Set("p50_ms", r.p50_ms)
-      .Set("p95_ms", r.p95_ms)
-      .Set("p99_ms", r.p99_ms)
-      .Set("max_ms", r.max_ms)
-      .Set("mean_ms", r.mean_ms)
-      .Set("ok", r.ok)
-      .Set("degraded", r.degraded)
-      .Set("shed", r.shed)
-      .Set("expired", r.expired)
-      .Set("failed", r.failed)
-      .Set("late_dispatches", r.late_dispatches)
-      .Set("max_lateness_ms", r.max_lateness_ms)
-      .Set("distinct_trace_ids", r.distinct_trace_ids)
-      .Set("peak_rss_bytes", r.peak_rss_bytes)
-      .Set("snapshot_bytes", snapshot_bytes)
-      .Set("num_shards", static_cast<int64_t>(num_shards))
-      .Set("killed_shards", static_cast<int64_t>(killed_shards))
-      .Set("shard_retries", c.retries)
-      .Set("shard_hedges", c.hedges)
-      .Set("shard_failovers", c.failovers)
-      .Set("shard_degraded_responses", c.degraded_responses);
-  util::JsonObject root;
-  root.Set("schema_version", static_cast<int64_t>(2))
-      .Set("bench", "dgnn_router")
-      .Set("mode", "open")
-      .Set("preset", preset)
-      .Set("arrival", arrival)
-      .Set("workers", static_cast<int64_t>(workers))
-      .Set("dim", dim)
-      .Set("k", static_cast<int64_t>(10))
-      .Set("quant", "none")
-      .Set("index", "none")
-      .Set("nprobe", static_cast<int64_t>(0))
-      .Set("rerank", static_cast<int64_t>(0))
-      .SetRaw("points", "[" + point.Build() + "]");
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  out << root.Build() << "\n";
-  out.close();
-  return out.good() ? 0 : 1;
+  const serve::Request request = shard::ScoringRequest(req, type);
+  return shard::ClientReply(op, request, Route(router, request));
 }
 
 }  // namespace
@@ -333,18 +201,8 @@ int main(int argc, char** argv) {
     runlog::Emit("router_start", o);
   }
 
-  // SIGTERM/SIGINT without SA_RESTART: interrupt the blocking stdin read
-  // so the loop falls through to the drain barrier below.
-  struct sigaction shutdown_action;
-  std::memset(&shutdown_action, 0, sizeof(shutdown_action));
-  shutdown_action.sa_handler = OnShutdown;
-  sigemptyset(&shutdown_action.sa_mask);
-  shutdown_action.sa_flags = 0;
-  sigaction(SIGTERM, &shutdown_action, nullptr);
-  sigaction(SIGINT, &shutdown_action, nullptr);
-
   int exit_code = 0;
-  const char* exit_reason = "eof";
+  const char* exit_reason = "replay";
   if (flags.Has("replay-trace")) {
     auto trace = serve::ReadTrace(flags.GetString("replay-trace", ""));
     if (!trace.ok()) {
@@ -362,17 +220,7 @@ int main(int argc, char** argv) {
     // that lost a shard's slice mid-replay.
     const serve::ReplayResult r = serve::ReplayTrace(
         [&router](const serve::Request& request) {
-          switch (request.type) {
-            case serve::Request::Type::kScore:
-              return router.Score(request.user, request.item,
-                                  request.timeout_ms);
-            case serve::Request::Type::kSimilarUsers:
-              return router.SimilarUsers(request.user, request.k,
-                                         request.timeout_ms);
-            default:
-              return router.TopK(request.user, request.k,
-                                 request.timeout_ms);
-          }
+          return Route(router, request);
         },
         trace.value().records, replay_config);
     const shard::RouterCounters c = router.counters();
@@ -380,65 +228,54 @@ int main(int argc, char** argv) {
     // SIGKILLed mid-replay shows up here — the bench point records how
     // many slices the fleet was missing).
     int down = 0;
-    int64_t resident = 0;
     for (const auto& st : router.ShardStatuses()) {
       if (st.state == shard::HealthState::kDown) ++down;
     }
-    util::JsonObject o;
-    o.Set("ok", true)
-        .Set("op", "replay")
-        .Set("requests", r.requests)
-        .Set("seconds", r.seconds)
-        .Set("offered_qps", r.offered_qps)
-        .Set("achieved_qps", r.achieved_qps)
-        .Set("p50_ms", r.p50_ms)
-        .Set("p95_ms", r.p95_ms)
-        .Set("p99_ms", r.p99_ms)
-        .Set("completed", r.ok)
-        .Set("degraded", r.degraded)
-        .Set("shed", r.shed)
-        .Set("expired", r.expired)
-        .Set("failed", r.failed)
-        .Set("late_dispatches", r.late_dispatches)
-        .Set("distinct_trace_ids", r.distinct_trace_ids)
-        .Set("peak_rss_bytes", r.peak_rss_bytes)
-        .Set("num_shards", static_cast<int64_t>(router.num_shards()))
+    util::JsonObject o = serve::ReplaySummaryJson(r);
+    o.Set("num_shards", static_cast<int64_t>(router.num_shards()))
         .Set("down_shards", static_cast<int64_t>(down))
         .Set("shard_retries", c.retries)
         .Set("shard_hedges", c.hedges)
         .Set("shard_failovers", c.failovers)
         .Set("shard_degraded_responses", c.degraded_responses);
-    PrintLine(o.Build());
+    std::puts(o.Build().c_str());
     const std::string bench_json = flags.GetString("bench-json", "");
     if (!bench_json.empty()) {
-      // Fleet embedding footprint: dim fp32 floats per user and item row
+      // --bench-json: one open-mode point, so router runs slot into the
+      // same trajectory tooling as bench_serve_load results. The fleet
+      // embedding footprint is dim fp32 floats per user and item row
       // plus norms — the same accounting SnapshotResidentBytes uses for
       // the dense sections, summed across the (disjoint) slices.
-      resident = (router.num_users() + router.num_items()) *
-                 (router.dim() + 1) * static_cast<int64_t>(sizeof(float));
-      exit_code = WriteBenchJson(
-          bench_json, flags.GetString("preset", "custom"),
-          flags.GetString("arrival", "poisson"), replay_config.workers,
-          router.dim(), resident, router.num_shards(), down, r, c);
-    }
-    exit_reason = "replay";
-  } else {
-    std::string line;
-    bool running = true;
-    while (running && !g_shutdown_requested &&
-           std::getline(std::cin, line)) {
-      if (g_shutdown_requested) break;
-      if (line.empty()) continue;
-      auto parsed = util::ParseJson(line);
-      if (!parsed.ok()) {
-        RespondError("request is not valid JSON: " +
-                     parsed.status().message());
-        continue;
+      const int64_t resident = (router.num_users() + router.num_items()) *
+                               (router.dim() + 1) *
+                               static_cast<int64_t>(sizeof(float));
+      util::JsonObject point = serve::BenchPointJson(r.offered_qps, r);
+      point.Set("snapshot_bytes", resident)
+          .Set("num_shards", static_cast<int64_t>(router.num_shards()))
+          .Set("killed_shards", static_cast<int64_t>(down))
+          .Set("shard_retries", c.retries)
+          .Set("shard_hedges", c.hedges)
+          .Set("shard_failovers", c.failovers)
+          .Set("shard_degraded_responses", c.degraded_responses);
+      serve::BenchFile file;
+      file.bench = "dgnn_router";
+      file.mode = "open";
+      file.preset = flags.GetString("preset", "custom");
+      file.dim = router.dim();
+      file.k = 10;
+      file.arrival = flags.GetString("arrival", "poisson");
+      file.workers = replay_config.workers;
+      file.points.push_back(point.Build());
+      util::Status written = serve::WriteBenchFile(bench_json, file);
+      if (!written.ok()) {
+        std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
+        exit_code = 1;
       }
-      running = Dispatch(router, parsed.value());
     }
-    exit_reason =
-        g_shutdown_requested ? "signal" : (running ? "eof" : "quit");
+  } else {
+    exit_reason = shard::ServeStdin([&router](const util::JsonValue& req) {
+      return Dispatch(router, req);
+    });
   }
 
   // Drain: wait out every in-flight scatter/gather and straggling hedge

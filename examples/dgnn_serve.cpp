@@ -3,7 +3,7 @@
 // newline-delimited JSON requests on stdin with one JSON response line on
 // stdout each (NDJSON in, NDJSON out).
 //
-// Requests:
+// Requests (the full op set and reply shapes: shard/shard_service.h):
 //   {"op":"topk","user":3,"k":10}
 //   {"op":"score","user":3,"item":7}
 //   {"op":"similar_users","user":3,"k":5}
@@ -25,8 +25,8 @@
 // ranking) and "snapshot_version" (bumps on every hot swap — in-flight
 // requests finish on the snapshot they started with).
 //
-//   {"ok":true,"op":"topk","user":3,"degraded":false,
-//    "snapshot_version":1,"items":[{"item":5,"score":1.25}, ...]}
+//   {"ok":true,"op":"topk","user":3,"trace_id":1,"degraded":false,
+//    "snapshot_version":1,"k":10,"items":[{"item":5,"score":1.25}, ...]}
 //   {"ok":false,"error":"..."}
 //
 // SIGHUP requests a reload of --snapshot before the next request is
@@ -40,9 +40,12 @@
 // emitted with reason=signal, metrics/trace/run-log flush, and the
 // process exits 0.
 //
-// Flags: --snapshot=F (required), --threads=N, --cache=N,
-// --social-alpha=A, --max-queue=N, --deadline-ms=T, --metrics-out=F,
-// --trace-out=F, --run-log=F.
+// Flags: --snapshot=F (required), --threads=N, --deterministic=0|1,
+// --cache=N, --social-alpha=A, --max-queue=N, --deadline-ms=T,
+// --nprobe=N, --rerank=R, --metrics-out=F, --metrics-flush-every-s=S,
+// --trace-out=F, --run-log=F, --stats-out=F, --stats-every-s=S,
+// --request-log=F, --trace-sample-rate=R, --slo-p99-ms=T,
+// --slo-availability=A, --listen=SOCK, --replay-trace=F, --workers=N.
 //
 // Quantized snapshots (int8/fp16 embedding sections) load transparently.
 // When the snapshot carries an IVF index, --nprobe=N probes the top-N
@@ -69,12 +72,13 @@
 // (coordinated-omission-safe latency; see serve/replay.h), and exit.
 //
 // Sharded serving (README "Sharded serving"): --listen=SOCK additionally
-// serves the shard worker protocol (shard/shard_service.h: probe,
-// user_vector, topk_partial, similar_partial, score_item, two-phase
-// swap_prepare/commit/abort) on a Unix socket for dgnn_router; the same
-// ops also work on stdin. A sharded snapshot slice
-// ("snap.shard<i>of<N>", from `dgnn_cli --mode=export --shards=N`) loads
-// like any other snapshot. The SIGTERM drain aborts any
+// serves a Unix socket for dgnn_router. Both doors answer the same op
+// set through one shard::ShardService — the client ops above plus the
+// shard worker ops (probe, user_vector, topk_partial, similar_partial,
+// score_item, two-phase swap_prepare/commit/abort) — with byte-identical
+// replies; "quit" and SIGHUP belong to stdin only. A sharded snapshot
+// slice ("snap.shard<i>of<N>", from `dgnn_cli --mode=export --shards=N`)
+// loads like any other snapshot. The SIGTERM drain aborts any
 // prepared-but-uncommitted two-phase swap before serve_end.
 
 #include <atomic>
@@ -83,11 +87,9 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <iostream>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "kernels/kernels.h"
 #include "serve/engine.h"
@@ -108,11 +110,9 @@ namespace {
 using namespace dgnn;
 
 volatile std::sig_atomic_t g_reload_requested = 0;
-volatile std::sig_atomic_t g_shutdown_requested = 0;
 volatile std::sig_atomic_t g_dump_requested = 0;
 
 void OnSighup(int) { g_reload_requested = 1; }
-void OnShutdown(int) { g_shutdown_requested = 1; }
 void OnSigusr1(int) { g_dump_requested = 1; }
 
 // Background exposition: appends a timestamped stats snapshot to
@@ -202,196 +202,6 @@ class ExpositionLoop {
   std::condition_variable cv_;
   bool stop_ = false;
 };
-
-void PrintLine(const std::string& json) {
-  std::fputs(json.c_str(), stdout);
-  std::fputc('\n', stdout);
-  std::fflush(stdout);
-}
-
-void RespondError(const std::string& message) {
-  util::JsonObject o;
-  o.Set("ok", false).Set("error", message);
-  PrintLine(o.Build());
-}
-
-std::string ItemsJson(const std::vector<serve::ScoredItem>& items) {
-  std::string out = "[";
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ",";
-    util::JsonObject o;
-    o.Set("item", static_cast<int64_t>(items[i].item))
-        .Set("score", static_cast<double>(items[i].score));
-    out += o.Build();
-  }
-  out += "]";
-  return out;
-}
-
-void LogSwapEvent(const char* trigger, const std::string& path,
-                  int64_t version, const util::Status& status) {
-  if (!runlog::Active()) return;
-  util::JsonObject o;
-  o.Set("trigger", trigger)
-      .Set("path", path)
-      .Set("snapshot_version", version)
-      .Set("ok", status.ok());
-  if (!status.ok()) o.Set("error", status.ToString());
-  runlog::Emit("snapshot_swap", o);
-}
-
-// Serves one parsed request line; returns false once "quit" was handled.
-bool Dispatch(serve::ServingEngine& engine, shard::ShardService& service,
-              const util::JsonValue& req, const std::string& snapshot_path) {
-  const std::string op = req.StringOr("op", "");
-  // Shard-protocol ops (probe / user_vector / *_partial / score_item /
-  // swap_prepare|commit|abort) work on stdin too — same handler the
-  // --listen socket uses.
-  std::string shard_out;
-  if (service.HandleShardOp(req, op, &shard_out)) {
-    PrintLine(shard_out);
-    return true;
-  }
-  if (op == "quit") {
-    util::JsonObject o;
-    o.Set("ok", true).Set("op", op);
-    PrintLine(o.Build());
-    return false;
-  }
-  if (op == "reload" || op == "swap") {
-    const std::string path =
-        op == "swap" ? req.StringOr("snapshot", "") : snapshot_path;
-    if (path.empty()) {
-      RespondError("swap requires a \"snapshot\" path");
-      return true;
-    }
-    util::Status loaded = engine.Load(path);
-    LogSwapEvent(op.c_str(), path, engine.swap_count(), loaded);
-    if (!loaded.ok()) {
-      RespondError(loaded.ToString());
-      return true;
-    }
-    util::JsonObject o;
-    o.Set("ok", true).Set("op", op).Set("snapshot_version",
-                                        engine.swap_count());
-    PrintLine(o.Build());
-    return true;
-  }
-  if (op == "stats") {
-    // {"op":"stats"} returns the flat counters (wire-compatible with the
-    // pre-observability op) plus the rolling windows and SLO burn
-    // accounting; {"op":"stats","format":"prom"} wraps the Prometheus
-    // text exposition of the same snapshot in a single-line response
-    // (the NDJSON protocol cannot carry raw multi-line text).
-    const std::string format = req.StringOr("format", "json");
-    if (format == "prom") {
-      auto prom = serve::observe::PromTextFromStatsJson(
-          serve::observe::StatsJson(engine));
-      if (!prom.ok()) {
-        RespondError(prom.status().ToString());
-        return true;
-      }
-      util::JsonObject o;
-      o.Set("ok", true).Set("op", op).Set("format", format).Set(
-          "text", prom.value());
-      PrintLine(o.Build());
-      return true;
-    }
-    if (format != "json") {
-      RespondError("unknown stats format '" + format + "'");
-      return true;
-    }
-    util::JsonObject o;
-    o.Set("ok", true).Set("op", op);
-    serve::observe::AppendStatsFields(engine, &o);
-    PrintLine(o.Build());
-    return true;
-  }
-  if (op == "burst") {
-    const int n = static_cast<int>(req.NumberOr("n", 0));
-    if (n <= 0 || n > 10000) {
-      RespondError("burst requires \"n\" in [1, 10000]");
-      return true;
-    }
-    serve::Request base;
-    base.type = serve::Request::Type::kTopK;
-    base.user = static_cast<int32_t>(req.NumberOr("user", 0));
-    base.k = static_cast<int>(req.NumberOr("k", 10));
-    base.timeout_ms = static_cast<int64_t>(req.NumberOr("deadline_ms", 0));
-    std::vector<serve::Response> responses(static_cast<size_t>(n));
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      threads.emplace_back([&engine, &responses, base, i] {
-        responses[static_cast<size_t>(i)] = engine.Handle(base);
-      });
-    }
-    for (auto& t : threads) t.join();
-    int64_t completed = 0, shed = 0, expired = 0, failed = 0;
-    for (const auto& r : responses) {
-      if (r.ok) {
-        ++completed;
-      } else if (r.error == "overloaded") {
-        ++shed;
-      } else if (r.error == "deadline exceeded") {
-        ++expired;
-      } else {
-        ++failed;
-      }
-    }
-    util::JsonObject o;
-    o.Set("ok", true)
-        .Set("op", op)
-        .Set("n", static_cast<int64_t>(n))
-        .Set("completed", completed)
-        .Set("shed", shed)
-        .Set("expired", expired)
-        .Set("failed", failed);
-    PrintLine(o.Build());
-    return true;
-  }
-
-  serve::Request request;
-  if (op == "topk") {
-    request.type = serve::Request::Type::kTopK;
-  } else if (op == "score") {
-    request.type = serve::Request::Type::kScore;
-  } else if (op == "similar_users") {
-    request.type = serve::Request::Type::kSimilarUsers;
-  } else {
-    RespondError("unknown op '" + op + "'");
-    return true;
-  }
-  request.user = static_cast<int32_t>(req.NumberOr("user", -1));
-  request.item = static_cast<int32_t>(req.NumberOr("item", -1));
-  request.k = static_cast<int>(req.NumberOr("k", 10));
-  request.timeout_ms = static_cast<int64_t>(req.NumberOr("deadline_ms", 0));
-
-  const serve::Response resp = engine.Handle(request);
-  if (!resp.ok) {
-    util::JsonObject o;
-    o.Set("ok", false).Set("error", resp.error).Set("trace_id",
-                                                    resp.trace_id);
-    PrintLine(o.Build());
-    return true;
-  }
-  util::JsonObject o;
-  o.Set("ok", true)
-      .Set("op", op)
-      .Set("user", static_cast<int64_t>(request.user))
-      .Set("trace_id", resp.trace_id)
-      .Set("degraded", resp.degraded)
-      .Set("snapshot_version", resp.snapshot_version);
-  if (request.type == serve::Request::Type::kScore) {
-    o.Set("item", static_cast<int64_t>(request.item))
-        .Set("score", static_cast<double>(resp.score));
-  } else {
-    o.Set("k", static_cast<int64_t>(request.k))
-        .SetRaw("items", ItemsJson(resp.items));
-  }
-  PrintLine(o.Build());
-  return true;
-}
 
 }  // namespace
 
@@ -548,25 +358,7 @@ int main(int argc, char** argv) {
     replay_config.workers = static_cast<int>(flags.GetInt("workers", 4));
     const serve::ReplayResult r =
         serve::ReplayTrace(engine, trace.value().records, replay_config);
-    util::JsonObject o;
-    o.Set("ok", true)
-        .Set("op", "replay")
-        .Set("requests", r.requests)
-        .Set("seconds", r.seconds)
-        .Set("offered_qps", r.offered_qps)
-        .Set("achieved_qps", r.achieved_qps)
-        .Set("p50_ms", r.p50_ms)
-        .Set("p95_ms", r.p95_ms)
-        .Set("p99_ms", r.p99_ms)
-        .Set("completed", r.ok)
-        .Set("degraded", r.degraded)
-        .Set("shed", r.shed)
-        .Set("expired", r.expired)
-        .Set("failed", r.failed)
-        .Set("late_dispatches", r.late_dispatches)
-        .Set("distinct_trace_ids", r.distinct_trace_ids)
-        .Set("peak_rss_bytes", r.peak_rss_bytes);
-    PrintLine(o.Build());
+    std::puts(serve::ReplaySummaryJson(r).Build().c_str());
     return 0;
   }
 
@@ -580,16 +372,6 @@ int main(int argc, char** argv) {
   sigemptyset(&dump_action.sa_mask);
   dump_action.sa_flags = SA_RESTART;
   sigaction(SIGUSR1, &dump_action, nullptr);
-  // SIGTERM/SIGINT: sigaction without SA_RESTART, so a pending blocking
-  // getline fails with EINTR and the loop falls through to the drain path
-  // below instead of waiting for the next request line.
-  struct sigaction shutdown_action;
-  std::memset(&shutdown_action, 0, sizeof(shutdown_action));
-  shutdown_action.sa_handler = OnShutdown;
-  sigemptyset(&shutdown_action.sa_mask);
-  shutdown_action.sa_flags = 0;
-  sigaction(SIGTERM, &shutdown_action, nullptr);
-  sigaction(SIGINT, &shutdown_action, nullptr);
 
   ExpositionLoop exposition(
       engine, &stats_out, flags.GetDouble("stats-every-s", 10.0),
@@ -613,29 +395,22 @@ int main(int argc, char** argv) {
                  listen_path.c_str());
   }
 
-  std::string line;
-  bool running = true;
-  while (running && !g_shutdown_requested && std::getline(std::cin, line)) {
-    if (g_shutdown_requested) break;
-    if (g_reload_requested) {
-      g_reload_requested = 0;
-      util::Status s = engine.Load(snapshot_path);
-      LogSwapEvent("SIGHUP", snapshot_path, engine.swap_count(), s);
-      if (!s.ok()) {
-        std::fprintf(stderr, "reload failed (still serving previous "
-                             "snapshot): %s\n",
-                     s.ToString().c_str());
-      }
-    }
-    if (line.empty()) continue;
-    auto parsed = util::ParseJson(line);
-    if (!parsed.ok()) {
-      RespondError("request is not valid JSON: " +
-                   parsed.status().message());
-      continue;
-    }
-    running = Dispatch(engine, service, parsed.value(), snapshot_path);
-  }
+  // The stdin door: ServeStdin owns quit, EOF and SIGTERM/SIGINT; every
+  // other request goes to the same ShardService the socket uses. A
+  // pending SIGHUP reloads --snapshot before the next request is served.
+  const char* exit_reason =
+      shard::ServeStdin([&service, &snapshot_path](const util::JsonValue& req) {
+        if (g_reload_requested) {
+          g_reload_requested = 0;
+          util::Status s = service.Load("SIGHUP", snapshot_path);
+          if (!s.ok()) {
+            std::fprintf(stderr, "reload failed (still serving previous "
+                                 "snapshot): %s\n",
+                         s.ToString().c_str());
+          }
+        }
+        return service.Handle(req);
+      });
 
   // Drain path: Handle calls are synchronous, so reaching this point means
   // every admitted micro-batch has completed. Flush every observability
@@ -644,8 +419,6 @@ int main(int argc, char** argv) {
   // crashes or is cut short, the run log's missing serve_end says so,
   // instead of a clean-looking serve_end followed by silently lost
   // metrics (the old atexit-ordering hazard).
-  const char* exit_reason =
-      g_shutdown_requested ? "signal" : (running ? "eof" : "quit");
   // Stop the socket front door first (in-flight socket requests finish
   // and get their responses), then abort any prepared-but-uncommitted
   // two-phase swap: a drain mid-swap must leave the fleet on the old

@@ -212,11 +212,6 @@ void ServingEngine::FinishSlot(Slot* slot) {
     reply_s = Seconds(slot->stages.exec_end, t_done);
   }
   e2e_hist_.Record(total);
-  stage_queue_.Record(queue_s);
-  stage_recal_.Record(slot->stages.recal_seconds);
-  stage_compute_.Record(slot->stages.compute_seconds);
-  stage_rank_.Record(slot->stages.rank_seconds);
-  stage_reply_.Record(reply_s);
   if (telemetry::Enabled()) {
     ServeMetrics& m = Metrics();
     m.e2e->Record(total);

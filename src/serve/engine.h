@@ -427,16 +427,11 @@ class ServingEngine {
   // --- Observability plane ---
   std::atomic<int64_t> next_trace_id_{0};
 
-  // Engine-owned stage/end-to-end histograms (instantiated directly, not
-  // through the global registry) so windowed stats work even when
-  // process-wide telemetry is disabled; mirrored into serve.stage.* /
-  // serve.e2e_seconds registry histograms when telemetry::Enabled().
+  // Engine-owned end-to-end histogram (instantiated directly, not
+  // through the global registry) so the rolling windows work even when
+  // process-wide telemetry is disabled. Per-stage timings go only to the
+  // serve.stage.* registry histograms, and only when telemetry::Enabled().
   telemetry::Histogram e2e_hist_;
-  telemetry::Histogram stage_queue_;
-  telemetry::Histogram stage_recal_;
-  telemetry::Histogram stage_compute_;
-  telemetry::Histogram stage_rank_;
-  telemetry::Histogram stage_reply_;
 
   std::mutex sink_mu_;
   TraceSink sink_;

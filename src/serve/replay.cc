@@ -7,6 +7,8 @@
 #include <cmath>
 #include <thread>
 
+#include "util/fs.h"
+
 namespace dgnn::serve {
 namespace {
 
@@ -163,6 +165,79 @@ ReplayResult ReplayTrace(const ReplayHandler& handler,
       all_ms.empty() ? 0.0 : sum / static_cast<double>(all_ms.size());
   result.peak_rss_bytes = PeakRssBytes();
   return result;
+}
+
+util::JsonObject ReplaySummaryJson(const ReplayResult& r) {
+  util::JsonObject o;
+  o.Set("ok", true)
+      .Set("op", "replay")
+      .Set("requests", r.requests)
+      .Set("seconds", r.seconds)
+      .Set("offered_qps", r.offered_qps)
+      .Set("achieved_qps", r.achieved_qps)
+      .Set("p50_ms", r.p50_ms)
+      .Set("p95_ms", r.p95_ms)
+      .Set("p99_ms", r.p99_ms)
+      .Set("completed", r.ok)
+      .Set("degraded", r.degraded)
+      .Set("shed", r.shed)
+      .Set("expired", r.expired)
+      .Set("failed", r.failed)
+      .Set("late_dispatches", r.late_dispatches)
+      .Set("distinct_trace_ids", r.distinct_trace_ids)
+      .Set("peak_rss_bytes", r.peak_rss_bytes);
+  return o;
+}
+
+util::JsonObject BenchPointJson(double target_qps, const ReplayResult& r) {
+  util::JsonObject o;
+  o.Set("target_qps", target_qps)
+      .Set("requests", r.requests)
+      .Set("seconds", r.seconds)
+      .Set("offered_qps", r.offered_qps)
+      .Set("achieved_qps", r.achieved_qps)
+      .Set("p50_ms", r.p50_ms)
+      .Set("p95_ms", r.p95_ms)
+      .Set("p99_ms", r.p99_ms)
+      .Set("max_ms", r.max_ms)
+      .Set("mean_ms", r.mean_ms)
+      .Set("ok", r.ok)
+      .Set("degraded", r.degraded)
+      .Set("shed", r.shed)
+      .Set("expired", r.expired)
+      .Set("failed", r.failed)
+      .Set("late_dispatches", r.late_dispatches)
+      .Set("max_lateness_ms", r.max_lateness_ms)
+      .Set("peak_rss_bytes", r.peak_rss_bytes)
+      .Set("distinct_trace_ids", r.distinct_trace_ids);
+  return o;
+}
+
+util::Status WriteBenchFile(const std::string& path, const BenchFile& file) {
+  std::string points = "[";
+  for (size_t i = 0; i < file.points.size(); ++i) {
+    if (i > 0) points += ',';
+    points += file.points[i];
+  }
+  points += ']';
+  util::JsonObject o;
+  o.Set("schema_version", 2)
+      .Set("bench", file.bench)
+      .Set("mode", file.mode)
+      .Set("preset", file.preset)
+      .Set("dim", file.dim)
+      .Set("k", file.k)
+      .Set("quant", file.quant)
+      .Set("index", file.index)
+      .Set("nprobe", file.nprobe)
+      .Set("rerank", file.rerank);
+  if (file.mode == "open") {
+    o.Set("arrival", file.arrival)
+        .Set("workers", file.workers)
+        .Set("mix", file.mix);
+  }
+  o.SetRaw("points", points);
+  return fs::AtomicWriteFile(path, o.Build() + "\n");
 }
 
 }  // namespace dgnn::serve

@@ -35,10 +35,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "serve/engine.h"
 #include "serve/trace.h"
+#include "util/json.h"
+#include "util/status.h"
 
 namespace dgnn::serve {
 
@@ -96,6 +99,38 @@ using ReplayHandler = std::function<Response(const Request&)>;
 ReplayResult ReplayTrace(const ReplayHandler& handler,
                          const std::vector<TraceRecord>& records,
                          const ReplayConfig& config);
+
+// The one-line replay summary dgnn_serve and dgnn_router print after
+// --replay-trace: ok, op "replay", then the result fields ("completed" is
+// `ok`). Callers append their own fields.
+util::JsonObject ReplaySummaryJson(const ReplayResult& r);
+
+// One open-loop point of a schema-v2 bench file (the point shape
+// `dgnn_inspect bench` validates), through distinct_trace_ids. Callers
+// append their own fields, snapshot_bytes included.
+util::JsonObject BenchPointJson(double target_qps, const ReplayResult& r);
+
+// A schema-v2 bench file: the header that makes a trajectory point
+// self-describing, then the serialized points.
+struct BenchFile {
+  std::string bench;   // "bench_serve_load" or "dgnn_router"
+  std::string mode;    // "open" or "closed"
+  std::string preset;
+  int64_t dim = 0;
+  int k = 0;
+  std::string quant = "none";
+  bool index = false;
+  int nprobe = 0;
+  int rerank = 0;
+  // Open mode only.
+  std::string arrival;
+  int workers = 0;
+  std::string mix = "default";
+  std::vector<std::string> points;
+};
+
+// Writes `file` as one JSON line, atomically (fs::AtomicWriteFile).
+util::Status WriteBenchFile(const std::string& path, const BenchFile& file);
 
 // Process-wide peak resident set size in bytes (getrusage ru_maxrss);
 // exposed for benches that report memory alongside latency.

@@ -85,6 +85,9 @@ struct Cursor {
 
   bool Read(void* out, size_t n) {
     if (size - pos < n) return false;
+    // memcpy's pointers must be valid even for n == 0, and an empty
+    // vector's data() may be null.
+    if (n == 0) return true;
     std::memcpy(out, data + pos, n);
     pos += n;
     return true;

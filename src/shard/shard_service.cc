@@ -1,11 +1,14 @@
 #include "shard/shard_service.h"
 
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "serve/observe.h"
 #include "serve/snapshot.h"
 #include "shard/wire.h"
 #include "util/json.h"
+#include "util/run_log.h"
 #include "util/status.h"
 
 namespace dgnn::shard {
@@ -20,15 +23,7 @@ std::string ErrorLine(const std::string& op, const std::string& message) {
   return o.Build();
 }
 
-std::string EngineErrorLine(const serve::Response& resp) {
-  JsonObject o;
-  o.Set("ok", false).Set("error", resp.error).Set("trace_id",
-                                                  resp.trace_id);
-  return o.Build();
-}
-
-// The common prefix of every successful engine-backed response; matches
-// what dgnn_serve prints on stdout for the classic ops.
+// The common prefix of every successful shard-op reply.
 JsonObject ResponseHead(const std::string& op, const serve::Response& resp) {
   JsonObject o;
   o.Set("ok", true)
@@ -183,6 +178,99 @@ bool ShardService::AbortStagedSwap() {
   return had;
 }
 
+util::Status ShardService::Load(const std::string& trigger,
+                                const std::string& path) {
+  util::Status loaded = engine_.Load(path);
+  if (runlog::Active()) {
+    JsonObject o;
+    o.Set("trigger", trigger)
+        .Set("path", path)
+        .Set("snapshot_version", engine_.swap_count())
+        .Set("ok", loaded.ok());
+    if (!loaded.ok()) o.Set("error", loaded.ToString());
+    runlog::Emit("snapshot_swap", o);
+  }
+  return loaded;
+}
+
+std::string ShardService::LoadOp(const JsonValue& req, const std::string& op) {
+  const std::string path =
+      op == "swap" ? req.StringOr("snapshot", "") : snapshot_path_;
+  if (path.empty()) return ErrorReply("swap requires a \"snapshot\" path");
+  util::Status loaded = Load(op, path);
+  if (!loaded.ok()) return ErrorReply(loaded.ToString());
+  JsonObject o;
+  o.Set("ok", true).Set("op", op).Set("snapshot_version",
+                                      engine_.swap_count());
+  return o.Build();
+}
+
+// {"op":"stats"} returns the flat counters plus the rolling windows and
+// SLO burn accounting; {"op":"stats","format":"prom"} wraps the
+// Prometheus text exposition of the same snapshot in a single-line reply
+// (NDJSON cannot carry raw multi-line text).
+std::string ShardService::Stats(const JsonValue& req) {
+  const std::string format = req.StringOr("format", "json");
+  JsonObject o;
+  o.Set("ok", true).Set("op", "stats");
+  if (format == "prom") {
+    auto prom = serve::observe::PromTextFromStatsJson(
+        serve::observe::StatsJson(engine_));
+    if (!prom.ok()) return ErrorReply(prom.status().ToString());
+    o.Set("format", format).Set("text", prom.value());
+    return o.Build();
+  }
+  if (format != "json") {
+    return ErrorReply("unknown stats format '" + format + "'");
+  }
+  serve::observe::AppendStatsFields(engine_, &o);
+  return o.Build();
+}
+
+// Runs n copies of one topk request from n threads at once — the way a
+// scripted client exercises load shedding — and tallies the outcomes.
+std::string ShardService::Burst(const JsonValue& req) {
+  const int n = static_cast<int>(req.NumberOr("n", 0));
+  if (n <= 0 || n > 10000) {
+    return ErrorReply("burst requires \"n\" in [1, 10000]");
+  }
+  serve::Request base;
+  base.type = serve::Request::Type::kTopK;
+  base.user = static_cast<int32_t>(req.NumberOr("user", 0));
+  base.k = static_cast<int>(req.NumberOr("k", 10));
+  base.timeout_ms = static_cast<int64_t>(req.NumberOr("deadline_ms", 0));
+  std::vector<serve::Response> responses(static_cast<size_t>(n));
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    threads.emplace_back([this, &responses, base, i] {
+      responses[static_cast<size_t>(i)] = engine_.Handle(base);
+    });
+  }
+  for (auto& t : threads) t.join();
+  int64_t completed = 0, shed = 0, expired = 0, failed = 0;
+  for (const auto& r : responses) {
+    if (r.ok) {
+      ++completed;
+    } else if (r.error == "overloaded") {
+      ++shed;
+    } else if (r.error == "deadline exceeded") {
+      ++expired;
+    } else {
+      ++failed;
+    }
+  }
+  JsonObject o;
+  o.Set("ok", true)
+      .Set("op", "burst")
+      .Set("n", static_cast<int64_t>(n))
+      .Set("completed", completed)
+      .Set("shed", shed)
+      .Set("expired", expired)
+      .Set("failed", failed);
+  return o.Build();
+}
+
 bool ShardService::HandleShardOp(const JsonValue& req, const std::string& op,
                                  std::string* out) {
   if (op == "probe") {
@@ -202,22 +290,19 @@ bool ShardService::HandleShardOp(const JsonValue& req, const std::string& op,
     return true;
   }
 
-  serve::Request request;
+  serve::Request::Type type;
   if (op == "user_vector") {
-    request.type = serve::Request::Type::kUserVector;
+    type = serve::Request::Type::kUserVector;
   } else if (op == "topk_partial") {
-    request.type = serve::Request::Type::kTopKPartial;
+    type = serve::Request::Type::kTopKPartial;
   } else if (op == "similar_partial") {
-    request.type = serve::Request::Type::kSimilarPartial;
+    type = serve::Request::Type::kSimilarPartial;
   } else if (op == "score_item") {
-    request.type = serve::Request::Type::kScoreItem;
+    type = serve::Request::Type::kScoreItem;
   } else {
     return false;
   }
-  request.user = static_cast<int32_t>(req.NumberOr("user", -1));
-  request.item = static_cast<int32_t>(req.NumberOr("item", -1));
-  request.k = static_cast<int>(req.NumberOr("k", 10));
-  request.timeout_ms = static_cast<int64_t>(req.NumberOr("deadline_ms", 0));
+  serve::Request request = ScoringRequest(req, type);
   request.popularity = req.BoolOr("popularity", false);
   request.query_norm = static_cast<float>(req.NumberOr("norm", 0.0));
   const JsonValue* query = req.Find("query");
@@ -228,7 +313,7 @@ bool ShardService::HandleShardOp(const JsonValue& req, const std::string& op,
 
   const serve::Response resp = engine_.Handle(request);
   if (!resp.ok) {
-    *out = EngineErrorLine(resp);
+    *out = FailedReply(resp);
     return true;
   }
   JsonObject o = ResponseHead(op, resp);
@@ -253,64 +338,21 @@ bool ShardService::HandleShardOp(const JsonValue& req, const std::string& op,
 
 std::string ShardService::HandleLine(const std::string& line) {
   auto parsed = util::ParseJson(line);
-  if (!parsed.ok()) {
-    JsonObject o;
-    o.Set("ok", false).Set("error", "request is not valid JSON: " +
-                                        parsed.status().message());
-    return o.Build();
-  }
-  const JsonValue& req = parsed.value();
+  if (!parsed.ok()) return NotJsonReply(parsed.status());
+  return Handle(parsed.value());
+}
+
+std::string ShardService::Handle(const JsonValue& req) {
   const std::string op = req.StringOr("op", "");
   std::string out;
-  if (HandleShardOp(req, op, &out)) {
-    return out;
-  }
-
-  if (op == "stats") {
-    JsonObject o;
-    o.Set("ok", true).Set("op", op);
-    serve::observe::AppendStatsFields(engine_, &o);
-    return o.Build();
-  }
-
-  // The classic client ops, with the exact response shapes dgnn_serve
-  // prints on stdout — a shard worker's socket is a superset of the
-  // single-process protocol.
-  serve::Request request;
-  if (op == "topk") {
-    request.type = serve::Request::Type::kTopK;
-  } else if (op == "score") {
-    request.type = serve::Request::Type::kScore;
-  } else if (op == "similar_users") {
-    request.type = serve::Request::Type::kSimilarUsers;
-  } else {
-    JsonObject o;
-    o.Set("ok", false).Set("error", "unknown op '" + op + "'");
-    return o.Build();
-  }
-  request.user = static_cast<int32_t>(req.NumberOr("user", -1));
-  request.item = static_cast<int32_t>(req.NumberOr("item", -1));
-  request.k = static_cast<int>(req.NumberOr("k", 10));
-  request.timeout_ms = static_cast<int64_t>(req.NumberOr("deadline_ms", 0));
-  const serve::Response resp = engine_.Handle(request);
-  if (!resp.ok) {
-    return EngineErrorLine(resp);
-  }
-  JsonObject o;
-  o.Set("ok", true)
-      .Set("op", op)
-      .Set("user", static_cast<int64_t>(request.user))
-      .Set("trace_id", resp.trace_id)
-      .Set("degraded", resp.degraded)
-      .Set("snapshot_version", resp.snapshot_version);
-  if (request.type == serve::Request::Type::kScore) {
-    o.Set("item", static_cast<int64_t>(request.item))
-        .Set("score", static_cast<double>(resp.score));
-  } else {
-    o.Set("k", static_cast<int64_t>(request.k))
-        .SetRaw("items", ItemsJson(resp.items));
-  }
-  return o.Build();
+  if (HandleShardOp(req, op, &out)) return out;
+  if (op == "reload" || op == "swap") return LoadOp(req, op);
+  if (op == "stats") return Stats(req);
+  if (op == "burst") return Burst(req);
+  serve::Request::Type type;
+  if (!ClientOpType(op, &type)) return ErrorReply("unknown op '" + op + "'");
+  const serve::Request request = ScoringRequest(req, type);
+  return ClientReply(op, request, engine_.Handle(request));
 }
 
 }  // namespace dgnn::shard

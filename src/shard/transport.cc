@@ -1,6 +1,7 @@
 #include "shard/transport.h"
 
 #include <errno.h>
+#include <signal.h>
 #include <fcntl.h>
 #include <poll.h>
 #include <string.h>
@@ -9,6 +10,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <iostream>
+
+#include "shard/wire.h"
 
 namespace dgnn::shard {
 namespace {
@@ -35,6 +40,15 @@ int RemainingMs(TimePoint deadline) {
   // poll() takes an int; clamp instead of overflowing on "no deadline"
   // sentinels far in the future.
   return static_cast<int>(std::min<int64_t>(ms + 1, 1 << 30));
+}
+
+volatile sig_atomic_t g_shutdown_requested = 0;
+void OnShutdown(int) { g_shutdown_requested = 1; }
+
+void PrintLine(const std::string& json) {
+  std::fputs(json.c_str(), stdout);
+  std::fputc('\n', stdout);
+  std::fflush(stdout);
 }
 
 }  // namespace
@@ -246,6 +260,35 @@ void SocketServer::Stop() {
   for (int fd : fds) close(fd);
   listen_fd_ = -1;
   if (!path_.empty()) unlink(path_.c_str());
+}
+
+const char* ServeStdin(const RequestHandler& handler) {
+  struct sigaction shutdown_action;
+  memset(&shutdown_action, 0, sizeof(shutdown_action));
+  shutdown_action.sa_handler = OnShutdown;
+  sigemptyset(&shutdown_action.sa_mask);
+  shutdown_action.sa_flags = 0;  // no SA_RESTART: interrupt getline
+  sigaction(SIGTERM, &shutdown_action, nullptr);
+  sigaction(SIGINT, &shutdown_action, nullptr);
+
+  std::string line;
+  while (!g_shutdown_requested && std::getline(std::cin, line)) {
+    if (g_shutdown_requested) break;
+    if (line.empty()) continue;
+    auto parsed = util::ParseJson(line);
+    if (!parsed.ok()) {
+      PrintLine(NotJsonReply(parsed.status()));
+      continue;
+    }
+    if (parsed.value().StringOr("op", "") == "quit") {
+      util::JsonObject o;
+      o.Set("ok", true).Set("op", "quit");
+      PrintLine(o.Build());
+      return "quit";
+    }
+    PrintLine(handler(parsed.value()));
+  }
+  return g_shutdown_requested ? "signal" : "eof";
 }
 
 }  // namespace dgnn::shard

@@ -1,9 +1,11 @@
-// Line-oriented Unix-domain-socket transport for router <-> shard RPCs.
+// The two NDJSON front doors — a line-oriented Unix-domain socket for
+// router <-> shard RPCs, and the stdin loop of dgnn_serve / dgnn_router —
+// plus the client side of the socket.
 //
-// The protocol is exactly the NDJSON dgnn_serve already speaks on stdin:
-// one JSON request per line in, one JSON response per line out. Keeping
-// the framing identical means the shard worker reuses the single-process
-// dispatch code verbatim, and every message is inspectable with a shell.
+// Both doors speak the same framing: one JSON request per line in, one
+// JSON response per line out. A worker plugs the same handler
+// (shard::ShardService) into both, so every op answers identically on
+// either door, and every message is inspectable with a shell.
 //
 // Error taxonomy (what the router's retry policy keys on):
 //  - kInternal      — connection-level failures: refused/failed connect,
@@ -25,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/json.h"
 #include "util/status.h"
 
 namespace dgnn::shard {
@@ -97,6 +100,17 @@ class SocketServer {
   std::vector<int> conn_fds_;
   std::vector<std::thread> conn_threads_;
 };
+
+// The stdin door: reads NDJSON requests from stdin and prints one reply
+// line per request on stdout until EOF, {"op":"quit"} (acknowledged with
+// {"ok":true,"op":"quit"}) or SIGTERM/SIGINT. Empty lines are skipped; a
+// line that is not JSON gets NotJsonReply; every other request goes to
+// `handler`. SIGTERM/SIGINT are installed WITHOUT SA_RESTART so a
+// blocking read is interrupted and the caller can drain. Returns why the
+// loop ended: "eof", "quit" or "signal".
+using RequestHandler =
+    std::function<std::string(const util::JsonValue& request)>;
+const char* ServeStdin(const RequestHandler& handler);
 
 }  // namespace dgnn::shard
 

@@ -1,5 +1,6 @@
 // JSON wire helpers shared by every process on the shard protocol —
-// dgnn_serve (shard worker side), dgnn_router, and the tests.
+// dgnn_serve (shard worker side), dgnn_router, and the tests — plus the
+// one client-reply formatter both a worker and the router print.
 //
 // Bit-identity across the wire is the whole point: floats are widened to
 // double and printed with util::JsonDouble (%.17g), which round-trips
@@ -14,8 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "serve/engine.h"
 #include "serve/ranking.h"
 #include "util/json.h"
+#include "util/status.h"
 
 namespace dgnn::shard {
 
@@ -75,6 +78,87 @@ inline bool ParseItems(const util::JsonValue* v,
                     static_cast<float>(score->number)});
   }
   return true;
+}
+
+// {"ok":false,"error":message} — the reply to a request no op could serve.
+inline std::string ErrorReply(const std::string& message) {
+  util::JsonObject o;
+  o.Set("ok", false).Set("error", message);
+  return o.Build();
+}
+
+// The reply to a line that does not parse, on every front door.
+inline std::string NotJsonReply(const util::Status& parse_error) {
+  return ErrorReply("request is not valid JSON: " + parse_error.message());
+}
+
+// {"ok":false,"error":..,"trace_id":..} — a request the engine (or the
+// router) admitted and then failed.
+inline std::string FailedReply(const serve::Response& resp) {
+  util::JsonObject o;
+  o.Set("ok", false).Set("error", resp.error).Set("trace_id", resp.trace_id);
+  return o.Build();
+}
+
+// Maps a client op name to its request type; false for any other op.
+inline bool ClientOpType(const std::string& op, serve::Request::Type* type) {
+  if (op == "topk") {
+    *type = serve::Request::Type::kTopK;
+  } else if (op == "score") {
+    *type = serve::Request::Type::kScore;
+  } else if (op == "similar_users") {
+    *type = serve::Request::Type::kSimilarUsers;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+// Reads the fields every scoring request carries: user and item (default
+// -1), k (default 10) and deadline_ms (default 0, the server's own).
+inline serve::Request ScoringRequest(const util::JsonValue& req,
+                                     serve::Request::Type type) {
+  serve::Request request;
+  request.type = type;
+  request.user = static_cast<int32_t>(req.NumberOr("user", -1));
+  request.item = static_cast<int32_t>(req.NumberOr("item", -1));
+  request.k = static_cast<int>(req.NumberOr("k", 10));
+  request.timeout_ms = static_cast<int64_t>(req.NumberOr("deadline_ms", 0));
+  return request;
+}
+
+// The reply to a topk / score / similar_users request, byte for byte the
+// same from a worker's stdin, its socket and dgnn_router: ok, op, user,
+// trace_id, degraded, snapshot_version, then item+score (score) or
+// k+items (the rankers), and missing_shards only when a routed answer
+// lost a shard's slice.
+inline std::string ClientReply(const std::string& op,
+                               const serve::Request& request,
+                               const serve::Response& resp) {
+  if (!resp.ok) return FailedReply(resp);
+  util::JsonObject o;
+  o.Set("ok", true)
+      .Set("op", op)
+      .Set("user", static_cast<int64_t>(request.user))
+      .Set("trace_id", resp.trace_id)
+      .Set("degraded", resp.degraded)
+      .Set("snapshot_version", resp.snapshot_version);
+  if (request.type == serve::Request::Type::kScore) {
+    o.Set("item", static_cast<int64_t>(request.item))
+        .Set("score", static_cast<double>(resp.score));
+  } else {
+    o.Set("k", static_cast<int64_t>(request.k))
+        .SetRaw("items", ItemsJson(resp.items));
+  }
+  if (!resp.missing_shards.empty()) {
+    std::string missing = "[";
+    for (size_t i = 0; i < resp.missing_shards.size(); ++i) {
+      if (i > 0) missing += ",";
+      missing += std::to_string(resp.missing_shards[i]);
+    }
+    o.SetRaw("missing_shards", missing + "]");
+  }
+  return o.Build();
 }
 
 }  // namespace dgnn::shard

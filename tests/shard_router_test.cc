@@ -6,7 +6,9 @@
 // user shard, hard failure only when every shard is gone, probe-driven
 // recovery after restart), retry/hedging behavior under failpoints, the
 // two-phase coordinated swap (commit everywhere / abort everywhere),
-// and the drain barrier.
+// and the drain barrier. A last test drives every client op through
+// ShardService::HandleLine, the one request->reply function behind both
+// dgnn_serve front doors.
 
 #include <atomic>
 #include <chrono>
@@ -30,6 +32,7 @@
 #include "shard/transport.h"
 #include "train/recommender.h"
 #include "util/failpoint.h"
+#include "util/json.h"
 
 namespace dgnn {
 namespace {
@@ -514,6 +517,143 @@ TEST_F(ShardRouterTest, StatsJsonCarriesPerShardHealth) {
     EXPECT_NE(stats.find(workers_[static_cast<size_t>(s)]->socket_path),
               std::string::npos);
   }
+}
+
+// ----- the one front door --------------------------------------------------
+
+// Parses one HandleLine reply; a reply that is not a JSON object fails.
+util::JsonValue Reply(shard::ShardService& service, const std::string& line) {
+  const std::string out = service.HandleLine(line);
+  EXPECT_EQ(out.find('\n'), std::string::npos) << out;
+  auto parsed = util::ParseJson(out);
+  EXPECT_TRUE(parsed.ok() && parsed.value().is_object()) << out;
+  return parsed.ok() ? parsed.value() : util::JsonValue();
+}
+
+std::vector<std::string> Keys(const util::JsonValue& v) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : v.object) keys.push_back(key);
+  return keys;
+}
+
+TEST(ShardServiceTest, EveryClientOpAnswersThroughHandleLine) {
+  const data::Dataset dataset =
+      data::GenerateSynthetic(data::SyntheticConfig::Tiny());
+  const graph::HeteroGraph graph(dataset);
+  models::BprMf model(graph, 8, 5);
+  train::Recommender recommender(model, dataset);
+  const Snapshot snap =
+      serve::BuildSnapshot(recommender, dataset, "BPR-MF", "door-test");
+  const std::string path = TestPath("door_a.snap");
+  const std::string other = TestPath("door_b.snap");
+  const std::string corrupt = TestPath("door_corrupt.snap");
+  ASSERT_TRUE(serve::WriteSnapshot(snap, path).ok());
+  ASSERT_TRUE(serve::WriteSnapshot(snap, other).ok());
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::string head(100, '\0');
+    in.read(head.data(), static_cast<std::streamsize>(head.size()));
+    std::ofstream(corrupt, std::ios::binary | std::ios::trunc) << head;
+  }
+  ServingEngine engine;
+  ASSERT_TRUE(engine.Load(path).ok());
+  shard::ShardService service(engine, path);
+
+  util::JsonValue r = Reply(service, "{\"op\":\"topk\",\"user\":3,\"k\":5}");
+  EXPECT_EQ(Keys(r), (std::vector<std::string>{
+                         "ok", "op", "user", "trace_id", "degraded",
+                         "snapshot_version", "k", "items"}));
+  EXPECT_TRUE(r.BoolOr("ok", false));
+  EXPECT_EQ(r.StringOr("op", ""), "topk");
+  EXPECT_EQ(r.NumberOr("user", -1), 3);
+  EXPECT_EQ(r.NumberOr("trace_id", 0), 1);
+  EXPECT_FALSE(r.BoolOr("degraded", true));
+  EXPECT_EQ(r.NumberOr("snapshot_version", 0), 1);
+  ASSERT_NE(r.Find("items"), nullptr);
+  EXPECT_EQ(r.Find("items")->array.size(), 5u);
+
+  r = Reply(service, "{\"op\":\"score\",\"user\":3,\"item\":7}");
+  EXPECT_EQ(Keys(r), (std::vector<std::string>{
+                         "ok", "op", "user", "trace_id", "degraded",
+                         "snapshot_version", "item", "score"}));
+  EXPECT_EQ(r.NumberOr("item", -1), 7);
+
+  r = Reply(service, "{\"op\":\"similar_users\",\"user\":3,\"k\":3}");
+  EXPECT_EQ(r.StringOr("op", ""), "similar_users");
+  ASSERT_NE(r.Find("items"), nullptr);
+  EXPECT_EQ(r.Find("items")->array.size(), 3u);
+
+  r = Reply(service, "{\"op\":\"stats\"}");
+  EXPECT_TRUE(r.BoolOr("ok", false));
+  EXPECT_EQ(r.StringOr("op", ""), "stats");
+  EXPECT_EQ(r.NumberOr("requests", -1), 3);
+  EXPECT_NE(r.Find("windows"), nullptr);
+  EXPECT_NE(r.Find("slo"), nullptr);
+
+  r = Reply(service, "{\"op\":\"stats\",\"format\":\"prom\"}");
+  EXPECT_EQ(Keys(r),
+            (std::vector<std::string>{"ok", "op", "format", "text"}));
+  EXPECT_EQ(r.StringOr("format", ""), "prom");
+  EXPECT_NE(r.StringOr("text", "").find("dgnn_serve_requests_total 3"),
+            std::string::npos)
+      << r.StringOr("text", "");
+
+  r = Reply(service, "{\"op\":\"stats\",\"format\":\"xml\"}");
+  EXPECT_FALSE(r.BoolOr("ok", true));
+  EXPECT_EQ(r.StringOr("error", ""), "unknown stats format 'xml'");
+
+  r = Reply(service, "{\"op\":\"swap\",\"snapshot\":\"" + other + "\"}");
+  EXPECT_EQ(Keys(r),
+            (std::vector<std::string>{"ok", "op", "snapshot_version"}));
+  EXPECT_TRUE(r.BoolOr("ok", false));
+  EXPECT_EQ(r.NumberOr("snapshot_version", 0), 2);
+
+  r = Reply(service,
+            "{\"op\":\"swap\",\"snapshot\":\"" + corrupt + "\"}");
+  EXPECT_FALSE(r.BoolOr("ok", true));
+  EXPECT_NE(r.StringOr("error", ""), "");
+  EXPECT_EQ(engine.swap_count(), 2);  // still serving the good snapshot
+
+  r = Reply(service, "{\"op\":\"swap\"}");
+  EXPECT_EQ(r.StringOr("error", ""), "swap requires a \"snapshot\" path");
+
+  r = Reply(service, "{\"op\":\"reload\"}");
+  EXPECT_TRUE(r.BoolOr("ok", false));
+  EXPECT_EQ(r.StringOr("op", ""), "reload");
+  EXPECT_EQ(r.NumberOr("snapshot_version", 0), 3);
+
+  r = Reply(service, "{\"op\":\"burst\",\"n\":16,\"user\":3,\"k\":5}");
+  EXPECT_EQ(Keys(r), (std::vector<std::string>{"ok", "op", "n", "completed",
+                                               "shed", "expired",
+                                               "failed"}));
+  EXPECT_EQ(r.NumberOr("n", 0), 16);
+  EXPECT_EQ(r.NumberOr("completed", 0), 16);
+  EXPECT_EQ(r.NumberOr("shed", -1) + r.NumberOr("expired", -1) +
+                r.NumberOr("failed", -1),
+            0);
+
+  r = Reply(service, "{\"op\":\"burst\",\"n\":0}");
+  EXPECT_EQ(r.StringOr("error", ""), "burst requires \"n\" in [1, 10000]");
+
+  r = Reply(service, "{\"op\":\"topk\",\"user\":3,\"k\":0}");
+  EXPECT_EQ(Keys(r), (std::vector<std::string>{"ok", "error", "trace_id"}));
+  EXPECT_EQ(r.StringOr("error", ""), "k must be positive");
+
+  r = Reply(service, "not json");
+  EXPECT_EQ(Keys(r), (std::vector<std::string>{"ok", "error"}));
+  EXPECT_EQ(r.StringOr("error", "").rfind("request is not valid JSON: ", 0),
+            0u);
+
+  // "quit" ends the stdin loop only; the handler does not know it.
+  for (const char* op : {"frobnicate", "quit"}) {
+    r = Reply(service, std::string("{\"op\":\"") + op + "\"}");
+    EXPECT_EQ(Keys(r), (std::vector<std::string>{"ok", "error"}));
+    EXPECT_EQ(r.StringOr("error", ""), std::string("unknown op '") + op + "'");
+  }
+
+  // The served snapshot after swap + reload is still the one from `path`.
+  r = Reply(service, "{\"op\":\"topk\",\"user\":3,\"k\":5}");
+  EXPECT_EQ(r.NumberOr("snapshot_version", 0), 3);
 }
 
 }  // namespace
