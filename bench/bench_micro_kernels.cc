@@ -1,6 +1,8 @@
 // Microbenchmarks of the kernels behind Section IV-D's complexity claims:
 // SpMM propagation (O(|E| d)), dense transforms (O(|V| d^2)), the memory
-// encoder (O(|V| |M| d^2 + |M| |E| d)) and segment softmax (O(|E|)), plus
+// encoder (one SpMM per edge type plus a gate mix: O(|E| d + |V| |M| d)
+// for diagonal transforms, O(|E| d + |V| |M| d^2) for dense) and segment
+// softmax (O(|E|)), plus
 // direct GEMM/SpMM kernel sweeps over transpose combination and numeric
 // mode (deterministic vs fast). All kernels dispatch to the active ISA
 // variant (shown in each benchmark's label); force a level with the
@@ -80,8 +82,8 @@ void BM_DenseTransform(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseTransform)->Arg(8)->Arg(16)->Arg(32);
 
-// Full memory-encoder propagation (forward only), sweeping |M| to expose
-// the O(|M|) scaling of Eq. 3.
+// Full memory-encoder propagation (forward only), sweeping |M|: only the
+// O(|V| |M| d) gate mix grows with |M|; the single SpMM does not.
 void BM_MemoryEncoderPropagate(benchmark::State& state) {
   const int num_units = static_cast<int>(state.range(0));
   const int64_t d = 16;

@@ -60,14 +60,6 @@ MemoryEncoder::MemoryEncoder(const std::string& name, int64_t dim,
   }
 }
 
-ag::VarId MemoryEncoder::Transform(ag::Tape& tape, ag::VarId h_src,
-                                   size_t m) const {
-  if (transform_kind_ == DgnnConfig::TransformKind::kDense) {
-    return tape.MatMul(h_src, tape.Param(w1_[m]));
-  }
-  return tape.MulRowBroadcast(h_src, tape.Param(w1_[m]));
-}
-
 ag::VarId MemoryEncoder::Gates(ag::Tape& tape, ag::VarId h) const {
   DGNN_CHECK(gated_) << "ungated encoder has no memory gates";
   ag::VarId proj = tape.MatMul(h, tape.Param(w2_));
@@ -75,45 +67,45 @@ ag::VarId MemoryEncoder::Gates(ag::Tape& tape, ag::VarId h) const {
   return tape.LeakyRelu(proj, leaky_slope_);
 }
 
-ag::VarId MemoryEncoder::Propagate(ag::Tape& tape, ag::VarId h_src,
-                                   ag::VarId h_tgt,
-                                   const graph::CsrMatrix* adj,
-                                   const graph::CsrMatrix* adj_t) const {
-  if (!gated_) {
-    return tape.SpMM(adj, adj_t, Transform(tape, h_src, 0));
+ag::VarId MemoryEncoder::Mix(ag::Tape& tape, ag::VarId x,
+                             ag::VarId gates) const {
+  const bool dense = transform_kind_ == DgnnConfig::TransformKind::kDense;
+  if (gates < 0) {
+    return dense ? tape.MatMul(x, tape.Param(w1_[0]))
+                 : tape.MulRowBroadcast(x, tape.Param(w1_[0]));
   }
-  ag::VarId gates =
-      Gates(tape, gate_side_ == MemoryGateSide::kTarget ? h_tgt : h_src);
+  if (!dense) {
+    // Row i scales x by sum_m eta[i, m] w1_m: (n x M)(M x d), then one
+    // elementwise product.
+    std::vector<ag::VarId> masks;
+    masks.reserve(w1_.size());
+    for (ag::Parameter* w : w1_) masks.push_back(tape.Param(w));
+    return tape.Mul(x, tape.MatMul(gates, tape.ConcatRows(masks)));
+  }
   std::vector<ag::VarId> terms;
   terms.reserve(w1_.size());
   for (size_t m = 0; m < w1_.size(); ++m) {
-    ag::VarId transformed = Transform(tape, h_src, m);
-    ag::VarId gate_col = tape.Col(gates, static_cast<int64_t>(m));
-    if (gate_side_ == MemoryGateSide::kTarget) {
-      // diag(eta_tgt) * (A * (H_src W1_m))
-      terms.push_back(
-          tape.RowScale(tape.SpMM(adj, adj_t, transformed), gate_col));
-    } else {
-      // A * (diag(eta_src) * (H_src W1_m))
-      terms.push_back(
-          tape.SpMM(adj, adj_t, tape.RowScale(transformed, gate_col)));
-    }
+    terms.push_back(tape.RowScale(tape.MatMul(x, tape.Param(w1_[m])),
+                                  tape.Col(gates, static_cast<int64_t>(m))));
   }
   return tape.AddN(terms);
 }
 
+ag::VarId MemoryEncoder::Propagate(ag::Tape& tape, ag::VarId h_src,
+                                   ag::VarId h_tgt,
+                                   const graph::CsrMatrix* adj,
+                                   const graph::CsrMatrix* adj_t) const {
+  if (gated_ && gate_side_ == MemoryGateSide::kTarget) {
+    // mix(A H_src, eta_tgt)
+    return Mix(tape, tape.SpMM(adj, adj_t, h_src), Gates(tape, h_tgt));
+  }
+  // A mix(H_src, eta_src)
+  return tape.SpMM(adj, adj_t,
+                   Mix(tape, h_src, gated_ ? Gates(tape, h_src) : -1));
+}
+
 ag::VarId MemoryEncoder::SelfPropagate(ag::Tape& tape, ag::VarId h) const {
-  if (!gated_) {
-    return Transform(tape, h, 0);
-  }
-  ag::VarId gates = Gates(tape, h);
-  std::vector<ag::VarId> terms;
-  terms.reserve(w1_.size());
-  for (size_t m = 0; m < w1_.size(); ++m) {
-    terms.push_back(tape.RowScale(Transform(tape, h, m),
-                                  tape.Col(gates, static_cast<int64_t>(m))));
-  }
-  return tape.AddN(terms);
+  return Mix(tape, h, gated_ ? Gates(tape, h) : -1);
 }
 
 }  // namespace dgnn::core

@@ -7,13 +7,16 @@
 //
 // Implementation notes:
 //  * Applying a gated sum of M transforms per *edge* would cost
-//    O(|E| M d^2). Because the gates depend on only one endpoint, the
-//    aggregation over a normalized adjacency A factorizes:
-//      target-gated:  out = sum_m diag(eta[:, m]) (A (H_src W1_m))
-//      source-gated:  out = sum_m A ( diag(eta_src[:, m]) (H_src W1_m) )
-//    which costs O(|V| M d^2 + |M| |E| d) — the complexity Section IV-D
-//    claims. A unit test checks this factorized form against the literal
-//    per-edge Eq. 3.
+//    O(|E| M d^2). Because the gates depend on only one endpoint and SpMM
+//    is linear, the aggregation over a normalized adjacency A factorizes
+//    into a single SpMM plus a per-node mixing step
+//      mix(X, eta) = sum_m diag(eta[:, m]) (X W1_m):
+//      target-gated:  out = mix(A H_src, eta_tgt)
+//      source-gated:  out = A mix(H_src, eta_src)
+//    For diagonal W1_m the mix is X .* (eta [w1_0; ...; w1_{M-1}]), one
+//    (n x M)(M x d) product, so a layer costs O(|E| d + |V| M d); dense
+//    W1_m cost O(|E| d + |V| M d^2). A unit test checks this form against
+//    the literal per-edge Eq. 3 and that one Propagate emits one SpMM.
 //  * W1_m is either the paper's dense d x d matrix or (default) a
 //    diagonal per-dimension factor mask — see DgnnConfig::TransformKind
 //    for the tradeoff. Both start at (1/|M|) * I with small noise and are
@@ -64,8 +67,9 @@ class MemoryEncoder {
   bool gated() const { return gated_; }
 
  private:
-  // h_src transformed by unit m's W1.
-  ag::VarId Transform(ag::Tape& tape, ag::VarId h_src, size_t m) const;
+  // sum_m diag(gates[:, m]) (x W1_m); an ungated encoder (gates < 0)
+  // applies its single W1_0.
+  ag::VarId Mix(ag::Tape& tape, ag::VarId x, ag::VarId gates) const;
 
   int64_t dim_;
   int num_units_;

@@ -1,10 +1,14 @@
 // Tests for the paper's core building block (Eq. 3). The key property:
-// the factorized O(|V| |M| d^2 + |M| |E| d) implementation must equal the
-// literal per-edge sum of gated transforms.
+// the factorized implementation — one SpMM per Propagate plus a per-node
+// gate mix, O(|E| d + |V| |M| d) for diagonal transforms and
+// O(|E| d + |V| |M| d^2) for dense ones — must equal the literal per-edge
+// sum of gated transforms, for both transform kinds and both gate sides.
 
 #include "core/memory_encoder.h"
 
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -18,11 +22,14 @@ constexpr float kSlope = 0.2f;
 
 float LeakyReluF(float x) { return x >= 0.0f ? x : kSlope * x; }
 
+using Kind = DgnnConfig::TransformKind;
+
 struct EncoderFixture {
-  EncoderFixture(int num_units, MemoryGateSide side, bool gated = true)
+  EncoderFixture(int num_units, MemoryGateSide side, Kind kind,
+                 bool gated = true)
       : rng(42),
         encoder("enc", kDim, num_units, side, kSlope, &store, &rng, gated,
-                DgnnConfig::TransformKind::kDense) {
+                kind) {
     graph::CooMatrix coo;
     coo.rows = kTargets;
     coo.cols = kSources;
@@ -52,18 +59,30 @@ struct EncoderFixture {
   ag::Parameter* h_tgt;
 };
 
+// h_s W1_m at column c; a 1 x d W1_m is the diagonal diag(w1_m).
+float TransformedAt(const ag::Tensor& h, int64_t row, const ag::Tensor& w1,
+                    int64_t c) {
+  if (w1.rows() == 1) return h.at(row, c) * w1.at(0, c);
+  float transformed = 0.0f;
+  for (int64_t k = 0; k < h.cols(); ++k) {
+    transformed += h.at(row, k) * w1.at(k, c);
+  }
+  return transformed;
+}
+
 // Literal Eq. 3: per edge (s -> t) with weight w, message =
-// w * sum_m eta(gate_node)_m * (h_s W1_m), summed into t.
-ag::Tensor NaivePropagate(EncoderFixture& s, MemoryGateSide side, int num_units) {
-  ag::Tensor out(EncoderFixture::kTargets, EncoderFixture::kDim);
-  const ag::Tensor& src = s.h_src->value;
-  const ag::Tensor& tgt = s.h_tgt->value;
+// w * sum_m eta(gate_node)_m * (h_s W1_m), summed into t. Self-propagation
+// is the same sum over an identity adjacency with src = tgt.
+ag::Tensor NaivePropagate(EncoderFixture& s, const graph::CsrMatrix& adj,
+                          const ag::Tensor& src, const ag::Tensor& tgt,
+                          MemoryGateSide side, int num_units) {
+  ag::Tensor out(adj.rows(), EncoderFixture::kDim);
   const ag::Tensor& w2 = s.store.Find("enc.w2")->value;
   const ag::Tensor& bias = s.store.Find("enc.b")->value;
-  for (int64_t t = 0; t < s.adj.rows(); ++t) {
-    for (int64_t i = s.adj.indptr()[t]; i < s.adj.indptr()[t + 1]; ++i) {
-      const int32_t src_id = s.adj.indices()[i];
-      const float w = s.adj.values()[i];
+  for (int64_t t = 0; t < adj.rows(); ++t) {
+    for (int64_t i = adj.indptr()[t]; i < adj.indptr()[t + 1]; ++i) {
+      const int32_t src_id = adj.indices()[i];
+      const float w = adj.values()[i];
       const ag::Tensor& gate_node_emb = side == MemoryGateSide::kTarget
                                             ? tgt
                                             : src;
@@ -79,11 +98,7 @@ ag::Tensor NaivePropagate(EncoderFixture& s, MemoryGateSide side, int num_units)
         const ag::Tensor& w1 =
             s.store.Find("enc.w1_" + std::to_string(m))->value;
         for (int64_t c = 0; c < EncoderFixture::kDim; ++c) {
-          float transformed = 0.0f;
-          for (int64_t k = 0; k < EncoderFixture::kDim; ++k) {
-            transformed += src.at(src_id, k) * w1.at(k, c);
-          }
-          out.at(t, c) += w * gate * transformed;
+          out.at(t, c) += w * gate * TransformedAt(src, src_id, w1, c);
         }
       }
     }
@@ -91,8 +106,25 @@ ag::Tensor NaivePropagate(EncoderFixture& s, MemoryGateSide side, int num_units)
   return out;
 }
 
-TEST(MemoryEncoderTest, FactorizedMatchesLiteralEq3TargetGate) {
-  EncoderFixture s(3, MemoryGateSide::kTarget);
+ag::Tensor NaivePropagate(EncoderFixture& s, MemoryGateSide side,
+                          int num_units) {
+  return NaivePropagate(s, s.adj, s.h_src->value, s.h_tgt->value, side,
+                        num_units);
+}
+
+int64_t CountOps(const ag::Tape& tape, const std::string& op) {
+  int64_t n = 0;
+  for (ag::VarId id = 0; id < tape.num_nodes(); ++id) {
+    if (op == tape.op_name(id)) ++n;
+  }
+  return n;
+}
+
+// Every test runs for the paper's dense W1_m and the default diagonal one.
+class MemoryEncoderTest : public ::testing::TestWithParam<Kind> {};
+
+TEST_P(MemoryEncoderTest, FactorizedMatchesLiteralEq3TargetGate) {
+  EncoderFixture s(3, MemoryGateSide::kTarget, GetParam());
   ag::Tape tape;
   ag::VarId out =
       s.encoder.Propagate(tape, tape.Param(s.h_src), tape.Param(s.h_tgt),
@@ -101,8 +133,8 @@ TEST(MemoryEncoderTest, FactorizedMatchesLiteralEq3TargetGate) {
   EXPECT_LT(tape.val(out).MaxAbsDiff(naive), 1e-4f);
 }
 
-TEST(MemoryEncoderTest, FactorizedMatchesLiteralEq3SourceGate) {
-  EncoderFixture s(3, MemoryGateSide::kSource);
+TEST_P(MemoryEncoderTest, FactorizedMatchesLiteralEq3SourceGate) {
+  EncoderFixture s(3, MemoryGateSide::kSource, GetParam());
   ag::Tape tape;
   ag::VarId out =
       s.encoder.Propagate(tape, tape.Param(s.h_src), tape.Param(s.h_tgt),
@@ -111,9 +143,37 @@ TEST(MemoryEncoderTest, FactorizedMatchesLiteralEq3SourceGate) {
   EXPECT_LT(tape.val(out).MaxAbsDiff(naive), 1e-4f);
 }
 
-TEST(MemoryEncoderTest, GateSidesDiffer) {
-  EncoderFixture target(3, MemoryGateSide::kTarget);
-  EncoderFixture source(3, MemoryGateSide::kSource);  // same seed -> same params
+TEST_P(MemoryEncoderTest, SelfPropagateMatchesLiteralEq3) {
+  EncoderFixture s(3, MemoryGateSide::kTarget, GetParam());
+  ag::Tape tape;
+  ag::VarId out = s.encoder.SelfPropagate(tape, tape.Param(s.h_tgt));
+  graph::CsrMatrix id = graph::CsrMatrix::Identity(EncoderFixture::kTargets);
+  ag::Tensor naive = NaivePropagate(s, id, s.h_tgt->value, s.h_tgt->value,
+                                    MemoryGateSide::kTarget, 3);
+  EXPECT_LT(tape.val(out).MaxAbsDiff(naive), 1e-4f);
+}
+
+// The gated sum collapses to one SpMM per edge type; an |M|-way fan-out
+// of SpMMs would show up here as num_units nodes.
+TEST_P(MemoryEncoderTest, PropagateEmitsOneSpMM) {
+  for (MemoryGateSide side : {MemoryGateSide::kTarget,
+                              MemoryGateSide::kSource}) {
+    for (bool gated : {true, false}) {
+      EncoderFixture s(4, side, GetParam(), gated);
+      ag::Tape tape;
+      s.encoder.Propagate(tape, tape.Param(s.h_src), tape.Param(s.h_tgt),
+                          &s.adj, &s.adj_t);
+      EXPECT_EQ(CountOps(tape, "SpMM"), 1)
+          << "gated=" << gated << " source_side="
+          << (side == MemoryGateSide::kSource);
+    }
+  }
+}
+
+TEST_P(MemoryEncoderTest, GateSidesDiffer) {
+  // Same seed -> same params.
+  EncoderFixture target(3, MemoryGateSide::kTarget, GetParam());
+  EncoderFixture source(3, MemoryGateSide::kSource, GetParam());
   ag::Tape t1, t2;
   ag::VarId o1 = target.encoder.Propagate(
       t1, t1.Param(target.h_src), t1.Param(target.h_tgt), &target.adj,
@@ -124,8 +184,8 @@ TEST(MemoryEncoderTest, GateSidesDiffer) {
   EXPECT_GT(t1.val(o1).MaxAbsDiff(t2.val(o2)), 1e-4f);
 }
 
-TEST(MemoryEncoderTest, IsolatedTargetsGetZeroMessages) {
-  EncoderFixture s(3, MemoryGateSide::kTarget);
+TEST_P(MemoryEncoderTest, IsolatedTargetsGetZeroMessages) {
+  EncoderFixture s(3, MemoryGateSide::kTarget, GetParam());
   ag::Tape tape;
   ag::VarId out =
       s.encoder.Propagate(tape, tape.Param(s.h_src), tape.Param(s.h_tgt),
@@ -136,8 +196,8 @@ TEST(MemoryEncoderTest, IsolatedTargetsGetZeroMessages) {
   }
 }
 
-TEST(MemoryEncoderTest, UngatedModeIsSingleLinearTransform) {
-  EncoderFixture s(4, MemoryGateSide::kTarget, /*gated=*/false);
+TEST_P(MemoryEncoderTest, UngatedModeIsSingleLinearTransform) {
+  EncoderFixture s(4, MemoryGateSide::kTarget, GetParam(), /*gated=*/false);
   EXPECT_EQ(s.encoder.num_units(), 1);
   EXPECT_FALSE(s.encoder.gated());
   ag::Tape tape;
@@ -149,9 +209,7 @@ TEST(MemoryEncoderTest, UngatedModeIsSingleLinearTransform) {
   ag::Tensor transformed(EncoderFixture::kSources, EncoderFixture::kDim);
   for (int64_t r = 0; r < EncoderFixture::kSources; ++r) {
     for (int64_t c = 0; c < EncoderFixture::kDim; ++c) {
-      for (int64_t k = 0; k < EncoderFixture::kDim; ++k) {
-        transformed.at(r, c) += s.h_src->value.at(r, k) * w1.at(k, c);
-      }
+      transformed.at(r, c) = TransformedAt(s.h_src->value, r, w1, c);
     }
   }
   ag::Tensor expected(EncoderFixture::kTargets, EncoderFixture::kDim);
@@ -159,8 +217,8 @@ TEST(MemoryEncoderTest, UngatedModeIsSingleLinearTransform) {
   EXPECT_LT(tape.val(out).MaxAbsDiff(expected), 1e-4f);
 }
 
-TEST(MemoryEncoderTest, SelfPropagateUsesOwnEmbedding) {
-  EncoderFixture s(2, MemoryGateSide::kTarget);
+TEST_P(MemoryEncoderTest, SelfPropagateUsesOwnEmbedding) {
+  EncoderFixture s(2, MemoryGateSide::kTarget, GetParam());
   ag::Tape tape;
   ag::VarId out = s.encoder.SelfPropagate(tape, tape.Param(s.h_tgt));
   // Equivalent to Propagate over an identity adjacency.
@@ -170,39 +228,64 @@ TEST(MemoryEncoderTest, SelfPropagateUsesOwnEmbedding) {
   EXPECT_LT(tape.val(out).MaxAbsDiff(tape.val(via_identity)), 1e-4f);
 }
 
-TEST(MemoryEncoderTest, GatesShapeAndActivation) {
-  EncoderFixture s(4, MemoryGateSide::kTarget);
+TEST_P(MemoryEncoderTest, GatesShapeAndActivation) {
+  EncoderFixture s(4, MemoryGateSide::kTarget, GetParam());
   ag::Tape tape;
   ag::VarId gates = s.encoder.Gates(tape, tape.Param(s.h_tgt));
   EXPECT_EQ(tape.val(gates).rows(), EncoderFixture::kTargets);
   EXPECT_EQ(tape.val(gates).cols(), 4);
 }
 
-TEST(MemoryEncoderTest, GradientsMatchNumeric) {
-  EncoderFixture s(2, MemoryGateSide::kTarget);
+// Numeric gradients of mean(out^2) with respect to every parameter,
+// including the input embeddings.
+void ExpectGradientsMatchNumeric(
+    EncoderFixture& s, const std::function<ag::VarId(ag::Tape&)>& forward) {
   std::vector<ag::Parameter*> params;
   for (const auto& p : s.store.params()) params.push_back(p.get());
   auto result = ag::CheckGradients(params, [&](ag::Tape& tape) {
-    ag::VarId out =
-        s.encoder.Propagate(tape, tape.Param(s.h_src), tape.Param(s.h_tgt),
-                            &s.adj, &s.adj_t);
+    ag::VarId out = forward(tape);
     return tape.MeanAll(tape.Mul(out, out));
   });
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
-TEST(MemoryEncoderTest, SourceGateGradientsMatchNumeric) {
-  EncoderFixture s(2, MemoryGateSide::kSource);
-  std::vector<ag::Parameter*> params;
-  for (const auto& p : s.store.params()) params.push_back(p.get());
-  auto result = ag::CheckGradients(params, [&](ag::Tape& tape) {
-    ag::VarId out =
-        s.encoder.Propagate(tape, tape.Param(s.h_src), tape.Param(s.h_tgt),
-                            &s.adj, &s.adj_t);
-    return tape.MeanAll(tape.Mul(out, out));
+TEST_P(MemoryEncoderTest, GradientsMatchNumeric) {
+  EncoderFixture s(2, MemoryGateSide::kTarget, GetParam());
+  ExpectGradientsMatchNumeric(s, [&](ag::Tape& tape) {
+    return s.encoder.Propagate(tape, tape.Param(s.h_src),
+                               tape.Param(s.h_tgt), &s.adj, &s.adj_t);
   });
-  EXPECT_TRUE(result.ok) << result.detail;
 }
+
+TEST_P(MemoryEncoderTest, SourceGateGradientsMatchNumeric) {
+  EncoderFixture s(2, MemoryGateSide::kSource, GetParam());
+  ExpectGradientsMatchNumeric(s, [&](ag::Tape& tape) {
+    return s.encoder.Propagate(tape, tape.Param(s.h_src),
+                               tape.Param(s.h_tgt), &s.adj, &s.adj_t);
+  });
+}
+
+TEST_P(MemoryEncoderTest, SelfPropagateGradientsMatchNumeric) {
+  EncoderFixture s(2, MemoryGateSide::kTarget, GetParam());
+  ExpectGradientsMatchNumeric(s, [&](ag::Tape& tape) {
+    return s.encoder.SelfPropagate(tape, tape.Param(s.h_tgt));
+  });
+}
+
+TEST_P(MemoryEncoderTest, UngatedGradientsMatchNumeric) {
+  EncoderFixture s(2, MemoryGateSide::kTarget, GetParam(), /*gated=*/false);
+  ExpectGradientsMatchNumeric(s, [&](ag::Tape& tape) {
+    return s.encoder.Propagate(tape, tape.Param(s.h_src),
+                               tape.Param(s.h_tgt), &s.adj, &s.adj_t);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TransformKinds, MemoryEncoderTest,
+    ::testing::Values(Kind::kDense, Kind::kDiagonal),
+    [](const ::testing::TestParamInfo<Kind>& info) {
+      return std::string(info.param == Kind::kDense ? "Dense" : "Diagonal");
+    });
 
 }  // namespace
 }  // namespace dgnn::core

@@ -633,7 +633,16 @@ TEST(ShardServiceTest, EveryClientOpAnswersThroughHandleLine) {
             0);
 
   r = Reply(service, "{\"op\":\"burst\",\"n\":0}");
-  EXPECT_EQ(r.StringOr("error", ""), "burst requires \"n\" in [1, 10000]");
+  EXPECT_EQ(r.StringOr("error", ""), "burst requires \"n\" in [1, 256]");
+
+  // One past the cap is refused before any unit runs: the engine sees no
+  // new request, so no thread was started.
+  const double before = Reply(service, "{\"op\":\"stats\"}")
+                            .NumberOr("requests", -1);
+  r = Reply(service, "{\"op\":\"burst\",\"n\":257,\"user\":3,\"k\":5}");
+  EXPECT_EQ(r.StringOr("error", ""), "burst requires \"n\" in [1, 256]");
+  EXPECT_EQ(Reply(service, "{\"op\":\"stats\"}").NumberOr("requests", -1),
+            before);
 
   r = Reply(service, "{\"op\":\"topk\",\"user\":3,\"k\":0}");
   EXPECT_EQ(Keys(r), (std::vector<std::string>{"ok", "error", "trace_id"}));
