@@ -17,9 +17,10 @@
 #   5. Kill matrix: SIGKILL one worker; the router must answer degraded
 #      (ok=true, degraded=true, missing_shards naming the dead shard,
 #      popularity failover for users the dead shard owned) and mark the
-#      shard down; a restarted worker must be re-admitted and full-fleet
-#      bit-identity must hold again, with the shard back to healthy
-#      after a burst of successful requests.
+#      shard down, and answer similar_users and score for every user with
+#      ok=true, naming no other shard; a restarted worker must be
+#      re-admitted and full-fleet bit-identity must hold again, with the
+#      shard back to healthy after a burst of successful requests.
 #   6. Availability under mid-replay kill: replay a recorded trace
 #      through the router, SIGKILL one of the three workers mid-replay;
 #      >= 99% of requests must complete ok (degraded allowed, failed
@@ -210,6 +211,22 @@ assert st["serve.shard.degraded_responses"] >= degraded, st
 assert st["serve.shard.failovers"] >= 1, st  # some users lived on shard 2
 print(f"check_shard: dead shard -> {degraded} degraded answers, "
       f"{st['serve.shard.failovers']} failovers, no failures")
+
+# similar_users and score through the same outage, score both inside and
+# outside the dead shard's item range (it holds the last range): every
+# answer is ok, and a degraded one names only the dead shard.
+last_item = st["num_items"] - 1
+for u in range(NUM_USERS):
+    for req in ({"op": "similar_users", "user": u, "k": 5},
+                {"op": "score", "user": u, "item": 11},
+                {"op": "score", "user": u, "item": last_item}):
+        b = ask(router, req)
+        assert b["ok"], f"{req} failed instead of degrading: {b}"
+        if b["degraded"]:
+            assert b.get("missing_shards") == [2], (req, b)
+        else:
+            assert "missing_shards" not in b, (req, b)
+print("check_shard: dead shard -> similar_users and score all answered")
 
 # Restart on the same socket with the CURRENT (swapped) slice: probes
 # re-admit the shard (degraded first, then healthy after enough clean

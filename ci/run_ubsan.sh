@@ -2,10 +2,12 @@
 # UndefinedBehaviorSanitizer job for the whole test suite.
 #
 # Configures a dedicated build tree with -DDGNN_SANITIZE=undefined (which
-# also passes -fno-sanitize-recover=undefined), builds every target and
-# runs the full CTest suite. Any UB report — a null memcpy, a misaligned
-# load, a signed overflow, an out-of-range shift or enum — aborts the
-# test that triggered it, so a green run certifies the suite UB-free.
+# also adds -fsanitize=float-cast-overflow, missing from GCC's
+# "undefined" group, and makes both non-recoverable), builds every
+# target and runs the full CTest suite. Any UB report — a null memcpy, a
+# misaligned load, a signed overflow, an out-of-range shift or enum, a
+# double cast to an int that cannot hold it — aborts the test that
+# triggered it, so a green run certifies the suite UB-free.
 #
 # Usage: ci/run_ubsan.sh [build-dir]   (default: build-ubsan)
 #

@@ -591,9 +591,9 @@ int BenchValidate(const std::string& path) {
   // v1 = seed schema; v2 adds snapshot_bytes / recall_at_k to open-loop
   // points. Both remain valid so committed v1 trajectory files keep
   // validating.
-  const int schema_version =
-      static_cast<int>(root.NumberOr("schema_version", 0));
-  if (schema_version != 1 && schema_version != 2) {
+  int schema_version = 0;
+  if (!root.ReadInt("schema_version", &schema_version) ||
+      (schema_version != 1 && schema_version != 2)) {
     return BenchFail(path, "schema_version must be 1 or 2"), 2;
   }
   // "bench_serve_load" = single-process engine bench; "dgnn_router" =

@@ -26,7 +26,7 @@
 // Responses add "missing_shards":[i,...] when a partial answer had to
 // drop (or substitute for) a shard's slice; such responses also carry
 // degraded:true. A down user shard degrades topk to the popularity
-// ranking rather than failing (counter serve.shard.failovers); only
+// ranking rather than failing (stats field serve.shard.failovers); only
 // when EVERY shard is unreachable does an op return ok=false.
 //
 // Robustness knobs: --retries=N (transient transport errors, capped
@@ -63,7 +63,6 @@
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/run_log.h"
-#include "util/telemetry.h"
 
 namespace {
 
@@ -113,8 +112,10 @@ std::string Dispatch(shard::Router& router, const util::JsonValue& req) {
   if (!shard::ClientOpType(op, &type)) {
     return shard::ErrorReply("unknown op '" + op + "'");
   }
-  const serve::Request request = shard::ScoringRequest(req, type);
-  return shard::ClientReply(op, request, Route(router, request));
+  auto request = shard::ScoringRequest(req, type);
+  if (!request.ok()) return shard::ErrorReply(request.status().message());
+  return shard::ClientReply(op, request.value(),
+                            Route(router, request.value()));
 }
 
 }  // namespace

@@ -180,8 +180,7 @@ void ServingEngine::StampDeadline(Slot* slot) const {
                                  : config_.default_deadline_ms;
   if (timeout_ms <= 0) return;
   slot->has_deadline = true;
-  slot->deadline = std::chrono::steady_clock::now() +
-                   std::chrono::milliseconds(timeout_ms);
+  slot->deadline = DeadlineAfterMs(timeout_ms);
 }
 
 bool ServingEngine::Observing() const {
@@ -522,8 +521,13 @@ void ServingEngine::RankItems(const State& state, const float* query,
       seen = &shifted;
     }
   }
+  // In 64 bits, since k may be near INT_MAX; a shortlist past the
+  // catalog keeps the same rows as one of exactly the catalog.
   const int rerank =
-      config_.rerank > 0 ? config_.rerank : std::max(4 * k, 64);
+      config_.rerank > 0
+          ? config_.rerank
+          : static_cast<int>(std::min(std::max<int64_t>(4 * int64_t{k}, 64),
+                                      state.items_view.rows()));
   resp->items = TopKUnseenFromView(
       query, state.items_view, candidates, *seen, k, rerank,
       stages != nullptr ? &stages->compute_seconds : nullptr,

@@ -80,6 +80,15 @@
 
 namespace dgnn::serve {
 
+// now() + ms with ms capped at a year, so that any int64 deadline a
+// client sends converts to steady_clock nanoseconds without overflowing;
+// no op outlives a year, so the cap never changes an answer.
+inline std::chrono::steady_clock::time_point DeadlineAfterMs(int64_t ms) {
+  constexpr int64_t kYearMs = int64_t{365} * 24 * 3600 * 1000;
+  return std::chrono::steady_clock::now() +
+         std::chrono::milliseconds(std::min(ms, kYearMs));
+}
+
 struct EngineConfig {
   // LRU entries for per-user scoring vectors; <= 0 disables the cache.
   int cache_capacity = 4096;

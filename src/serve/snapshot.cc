@@ -275,10 +275,13 @@ Status ParseMeta(const std::string& payload, SnapshotMeta* out) {
   out->model_name = v.StringOr("model", "");
   out->dataset_name = v.StringOr("dataset", "");
   out->tag = v.StringOr("tag", "");
-  out->num_users = static_cast<int64_t>(v.NumberOr("num_users", -1));
-  out->num_items = static_cast<int64_t>(v.NumberOr("num_items", -1));
-  out->embedding_dim = static_cast<int64_t>(v.NumberOr("dim", -1));
-  if (out->num_users < 0 || out->num_items < 0 || out->embedding_dim <= 0) {
+  out->num_users = -1;
+  out->num_items = -1;
+  out->embedding_dim = -1;
+  if (!v.ReadInt("num_users", &out->num_users) ||
+      !v.ReadInt("num_items", &out->num_items) ||
+      !v.ReadInt("dim", &out->embedding_dim) || out->num_users < 0 ||
+      out->num_items < 0 || out->embedding_dim <= 0) {
     return Status::InvalidArgument("snapshot meta has invalid dimensions");
   }
   return Status::Ok();

@@ -26,37 +26,50 @@ int64_t RemainMs(TimePoint deadline) {
       .count();
 }
 
-void BumpTelemetry(const char* name) {
-  if (telemetry::Enabled()) telemetry::GetCounter(name)->Add(1);
-}
-
-// One shard's parsed response to a scatter/gather partial.
-struct PartialResult {
+// One shard's reply to any router->shard RPC, read in one place: did it
+// answer ok, and if not why; its parsed body and snapshot_version.
+struct ShardReply {
   bool ok = false;
-  bool degraded = false;
-  int64_t version = 0;
-  float score = 0.0f;
   std::string error;
-  std::vector<serve::ScoredItem> items;
+  JsonValue body;
+  int64_t version = 0;
 };
 
-bool ParsePartial(const std::string& line, PartialResult* p) {
-  auto parsed = util::ParseJson(line);
-  if (!parsed.ok()) return false;
-  const JsonValue& v = parsed.value();
-  p->ok = v.BoolOr("ok", false);
-  p->error = v.StringOr("error", "");
-  p->degraded = v.BoolOr("degraded", false);
-  p->version = static_cast<int64_t>(v.NumberOr("snapshot_version", 0));
-  p->score = static_cast<float>(v.NumberOr("score", 0.0));
-  const JsonValue* items = v.Find("items");
-  if (items != nullptr && !ParseItems(items, &p->items)) return false;
-  return true;
+// The error is the transport status, `malformed` for a reply that is
+// not JSON or whose snapshot_version does not fit, or the shard's own
+// error for an ok:false reply (`refused`, default `malformed`, when it
+// names none).
+ShardReply ReadShardReply(const StatusOr<std::string>& raw,
+                          const char* malformed,
+                          const char* refused = nullptr) {
+  ShardReply r;
+  if (!raw.ok()) {
+    r.error = raw.status().ToString();
+    return r;
+  }
+  auto parsed = util::ParseJson(raw.value());
+  if (!parsed.ok() ||
+      !parsed.value().ReadInt("snapshot_version", &r.version)) {
+    r.error = malformed;
+    return r;
+  }
+  r.body = std::move(parsed).value();
+  r.ok = r.body.BoolOr("ok", false);
+  if (!r.ok) {
+    r.error = r.body.StringOr("error", "");
+    if (r.error.empty()) r.error = refused != nullptr ? refused : malformed;
+  }
+  return r;
 }
 
-void SortUniqueShards(std::vector<int32_t>* v) {
-  std::sort(v->begin(), v->end());
-  v->erase(std::unique(v->begin(), v->end()), v->end());
+// Marks `resp` answered, naming each shard it lost once, in order; a
+// lost shard makes the answer degraded.
+void Answered(std::vector<int32_t> missing, serve::Response* resp) {
+  std::sort(missing.begin(), missing.end());
+  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
+  if (!missing.empty()) resp->degraded = true;
+  resp->missing_shards = std::move(missing);
+  resp->ok = true;
 }
 
 }  // namespace
@@ -117,7 +130,7 @@ TimePoint Router::DeadlineFor(int64_t deadline_ms) const {
   // "No deadline" is still bounded (an hour): the no-hang guarantee
   // holds even for clients that opt out of deadlines.
   if (ms <= 0) ms = 3600 * 1000;
-  return Clock::now() + std::chrono::milliseconds(ms);
+  return serve::DeadlineAfterMs(ms);
 }
 
 StatusOr<std::unique_ptr<ShardConn>> Router::GetConn(ShardEntry& e) {
@@ -229,7 +242,6 @@ StatusOr<std::string> Router::HedgedAttempt(ShardEntry& e,
     // The primary is a straggler: race a second attempt on a fresh
     // connection, first success wins.
     n_hedges_.fetch_add(1, std::memory_order_relaxed);
-    BumpTelemetry("serve.shard.hedges");
     launched = 2;
     lock.unlock();
     spawn();
@@ -271,7 +283,6 @@ StatusOr<std::string> Router::CallShard(int shard, const std::string& line,
       break;
     }
     n_retries_.fetch_add(1, std::memory_order_relaxed);
-    BumpTelemetry("serve.shard.retries");
     std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
     backoff_ms = std::min(backoff_ms * 2, 16);
   }
@@ -303,38 +314,32 @@ util::Status Router::ProbeShardOnce(ShardEntry& e, ShardIdentity* id_out) {
       Clock::now() + std::chrono::milliseconds(config_.probe_timeout_ms);
   auto r = AttemptOnce(e, "{\"op\":\"probe\"}", deadline, /*probe=*/true);
   if (!r.ok()) return r.status();
-  auto parsed = util::ParseJson(r.value());
-  if (!parsed.ok()) {
-    return Status::Internal("probe response is not JSON: " +
-                            parsed.status().message());
+  const ShardReply reply = ReadShardReply(r, "malformed probe response", "?");
+  if (!reply.ok) return Status::Internal("probe failed: " + reply.error);
+  const JsonValue& v = reply.body;
+  ShardIdentity id;
+  int64_t queue_depth = 0, shed = 0;
+  if (!v.ReadInt("queue_depth", &queue_depth) ||
+      !v.ReadInt("shed_requests", &shed) ||
+      !v.ReadInt("shard_index", &id.shard_index) ||
+      !v.ReadInt("num_shards", &id.num_shards) ||
+      !v.ReadInt("item_begin", &id.item_begin) ||
+      !v.ReadInt("item_end", &id.item_end) ||
+      !v.ReadInt("num_users", &id.num_users) ||
+      !v.ReadInt("num_items", &id.num_items) || !v.ReadInt("dim", &id.dim)) {
+    return Status::Internal("probe failed: malformed probe response");
   }
-  const JsonValue& v = parsed.value();
-  if (!v.BoolOr("ok", false)) {
-    return Status::Internal("probe failed: " + v.StringOr("error", "?"));
-  }
-  e.snapshot_version.store(
-      static_cast<int64_t>(v.NumberOr("snapshot_version", 0)),
-      std::memory_order_relaxed);
-  e.queue_depth.store(static_cast<int64_t>(v.NumberOr("queue_depth", 0)),
-                      std::memory_order_relaxed);
+  id.hash_seed =
+      std::strtoull(v.StringOr("hash_seed", "0").c_str(), nullptr, 10);
+  e.snapshot_version.store(reply.version, std::memory_order_relaxed);
+  e.queue_depth.store(queue_depth, std::memory_order_relaxed);
   // The worker's own admission-control counter (PR-5 overload signal):
   // sheds since the last probe mark the shard overloaded for this
   // interval.
-  const int64_t shed = static_cast<int64_t>(v.NumberOr("shed_requests", 0));
   e.overloaded.store(e.last_shed >= 0 && shed > e.last_shed,
                      std::memory_order_relaxed);
   e.last_shed = shed;
-  if (id_out != nullptr) {
-    id_out->shard_index = static_cast<int32_t>(v.NumberOr("shard_index", 0));
-    id_out->num_shards = static_cast<int32_t>(v.NumberOr("num_shards", 0));
-    id_out->item_begin = static_cast<int64_t>(v.NumberOr("item_begin", 0));
-    id_out->item_end = static_cast<int64_t>(v.NumberOr("item_end", 0));
-    id_out->num_users = static_cast<int64_t>(v.NumberOr("num_users", 0));
-    id_out->num_items = static_cast<int64_t>(v.NumberOr("num_items", 0));
-    id_out->dim = static_cast<int64_t>(v.NumberOr("dim", 0));
-    id_out->hash_seed = std::strtoull(
-        v.StringOr("hash_seed", "0").c_str(), nullptr, 10);
-  }
+  if (id_out != nullptr) *id_out = id;
   return Status::Ok();
 }
 
@@ -499,316 +504,196 @@ void Router::Stop() {
 
 bool Router::FetchUserVector(int32_t user, TimePoint deadline,
                              std::vector<float>* vec, float* norm,
-                             std::vector<int32_t>* missing, bool* failover) {
-  *failover = false;
+                             std::vector<int32_t>* missing) {
   if (user < 0 || user >= num_users_) return false;  // unknown fleet-wide
   const int32_t owner = ring_.Owner(user);
   JsonObject line;
   line.Set("op", "user_vector")
-      .Set("user", static_cast<int64_t>(user))
+      .Set("user", user)
       .Set("deadline_ms", std::max<int64_t>(RemainMs(deadline), 1));
-  auto r = CallShard(owner, line.Build(), deadline);
-  const auto fail = [&] {
-    missing->push_back(owner);
-    *failover = true;
-    return false;
-  };
-  if (!r.ok()) return fail();
-  auto parsed = util::ParseJson(r.value());
-  if (!parsed.ok()) return fail();
-  const JsonValue& v = parsed.value();
-  if (!v.BoolOr("ok", false)) return fail();
+  const ShardReply reply = ReadShardReply(
+      CallShard(owner, line.Build(), deadline), "malformed shard response");
   // The owner answered and says the user is unknown — that is the same
   // popularity fallback a single process takes, not a failover.
-  if (v.BoolOr("degraded", false)) return false;
-  if (!ParseFloatArray(v.Find("vector"), vec) || vec->empty()) return fail();
-  *norm = static_cast<float>(v.NumberOr("norm", 0.0));
-  return true;
+  if (reply.ok && reply.body.BoolOr("degraded", false)) return false;
+  if (reply.ok && ParseFloatArray(reply.body.Find("vector"), vec) &&
+      !vec->empty()) {
+    *norm = static_cast<float>(reply.body.NumberOr("norm", 0.0));
+    return true;
+  }
+  missing->push_back(owner);
+  n_failovers_.fetch_add(1, std::memory_order_relaxed);
+  return false;
+}
+
+template <typename Body>
+serve::Response Router::Admit(int64_t deadline_ms, Body body) {
+  serve::Response resp;
+  resp.trace_id = n_requests_.fetch_add(1, std::memory_order_relaxed) + 1;
+  OpGuard guard(this);
+  if (guard.shed()) {
+    n_shed_.fetch_add(1, std::memory_order_relaxed);
+    resp.error = "overloaded";
+    return resp;
+  }
+  if (!started_.load(std::memory_order_acquire)) {
+    resp.error = "router not started";
+    return resp;
+  }
+  body(DeadlineFor(deadline_ms), &resp);
+  if (resp.ok && resp.degraded) {
+    n_degraded_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return resp;
+}
+
+void Router::Degraded(std::vector<int32_t> missing, serve::Response* resp) {
+  int64_t version = 0;
+  for (const auto& e : shards_) {
+    version =
+        std::max(version, e->snapshot_version.load(std::memory_order_relaxed));
+  }
+  resp->degraded = true;
+  resp->snapshot_version = version;
+  Answered(std::move(missing), resp);
+}
+
+serve::Response Router::Ranked(bool similar, int32_t user, int k,
+                               int64_t deadline_ms) {
+  return Admit(deadline_ms, [&](TimePoint deadline, serve::Response* resp) {
+    if (k <= 0) {
+      resp->error = "k must be positive";
+      return;
+    }
+    std::vector<float> query;
+    float norm = 0.0f;
+    std::vector<int32_t> missing;
+    const bool have_vec =
+        FetchUserVector(user, deadline, &query, &norm, &missing);
+    if (!have_vec && similar) {
+      // Without the query vector there is nothing to rank against —
+      // degraded empty answer (single-process parity for unknown users;
+      // attributed to the owner when it was a failover).
+      Degraded(std::move(missing), resp);
+      return;
+    }
+    const int64_t rem = RemainMs(deadline);
+    if (rem <= 0) {
+      resp->error = "deadline exceeded";
+      return;
+    }
+    JsonObject line;
+    line.Set("op", similar ? "similar_partial" : "topk_partial")
+        .Set("k", k)
+        .Set("deadline_ms", rem);
+    if (have_vec) {
+      line.Set("user", user).SetRaw("query", FloatsJson(query));
+      if (similar) line.Set("norm", static_cast<double>(norm));
+    } else {
+      // Every item shard ranks its slice by popularity instead.
+      line.Set("popularity", true);
+      resp->degraded = true;
+    }
+    const auto raw = Scatter(line.Build(), deadline);
+
+    std::vector<serve::ScoredItem> all;
+    int64_t version = 0;
+    bool any_ok = false;
+    std::string last_err;
+    for (size_t i = 0; i < raw.size(); ++i) {
+      ShardReply reply = ReadShardReply(raw[i], "malformed shard response");
+      std::vector<serve::ScoredItem> items;
+      const JsonValue* found = reply.body.Find("items");
+      if (reply.ok && found != nullptr && !ParseItems(found, &items)) {
+        reply.ok = false;
+        reply.error = "malformed shard response";
+      }
+      if (!reply.ok) {
+        last_err = reply.error;
+        missing.push_back(static_cast<int32_t>(i));
+        resp->degraded = true;
+        continue;
+      }
+      any_ok = true;
+      version = std::max(version, reply.version);
+      all.insert(all.end(), items.begin(), items.end());
+    }
+    if (!any_ok) {
+      resp->error = "all shards unavailable: " + last_err;
+      return;
+    }
+    if (failpoint::Enabled()) {
+      Status st = failpoint::Check("shard.merge");
+      if (!st.ok()) {
+        resp->error = st.ToString();
+        return;
+      }
+    }
+    // Per-shard top-ks each cover their slice, so the union contains
+    // every global top-k candidate; SelectTopK applies the same (score
+    // desc, id asc) total order every scoring path uses — bit-identical
+    // merge.
+    serve::SelectTopK(all, k);
+    resp->items = std::move(all);
+    resp->snapshot_version = version;
+    Answered(std::move(missing), resp);
+  });
 }
 
 serve::Response Router::TopK(int32_t user, int k, int64_t deadline_ms) {
-  serve::Response resp;
-  resp.trace_id = n_requests_.fetch_add(1, std::memory_order_relaxed) + 1;
-  OpGuard guard(this);
-  if (guard.shed()) {
-    n_shed_.fetch_add(1, std::memory_order_relaxed);
-    resp.error = "overloaded";
-    return resp;
-  }
-  if (!started_.load(std::memory_order_acquire)) {
-    resp.error = "router not started";
-    return resp;
-  }
-  if (k <= 0) {
-    resp.error = "k must be positive";
-    return resp;
-  }
-  const TimePoint deadline = DeadlineFor(deadline_ms);
-
-  std::vector<float> query;
-  float norm = 0.0f;
-  bool failover = false;
-  std::vector<int32_t> missing;
-  const bool have_vec =
-      FetchUserVector(user, deadline, &query, &norm, &missing, &failover);
-  if (failover) {
-    n_failovers_.fetch_add(1, std::memory_order_relaxed);
-    BumpTelemetry("serve.shard.failovers");
-  }
-
-  const int64_t rem = RemainMs(deadline);
-  if (rem <= 0) {
-    resp.error = "deadline exceeded";
-    return resp;
-  }
-  JsonObject line;
-  line.Set("op", "topk_partial")
-      .Set("k", static_cast<int64_t>(k))
-      .Set("deadline_ms", rem);
-  if (have_vec) {
-    line.Set("user", static_cast<int64_t>(user))
-        .SetRaw("query", FloatsJson(query));
-  } else {
-    line.Set("popularity", true);
-    resp.degraded = true;
-  }
-  auto raw = Scatter(line.Build(), deadline);
-
-  std::vector<serve::ScoredItem> all;
-  int64_t version = 0;
-  int successes = 0;
-  std::string last_err;
-  for (size_t i = 0; i < raw.size(); ++i) {
-    PartialResult p;
-    if (!raw[i].ok()) {
-      last_err = raw[i].status().ToString();
-      missing.push_back(static_cast<int32_t>(i));
-      resp.degraded = true;
-      continue;
-    }
-    if (!ParsePartial(raw[i].value(), &p) || !p.ok) {
-      last_err = p.error.empty() ? "malformed shard response" : p.error;
-      missing.push_back(static_cast<int32_t>(i));
-      resp.degraded = true;
-      continue;
-    }
-    ++successes;
-    version = std::max(version, p.version);
-    all.insert(all.end(), p.items.begin(), p.items.end());
-  }
-  if (successes == 0) {
-    resp.error = "all shards unavailable: " + last_err;
-    return resp;
-  }
-  if (failpoint::Enabled()) {
-    Status st = failpoint::Check("shard.merge");
-    if (!st.ok()) {
-      resp.error = st.ToString();
-      return resp;
-    }
-  }
-  // Per-shard top-ks each cover their slice, so the union contains every
-  // global top-k candidate; SelectTopK applies the same (score desc, id
-  // asc) total order every scoring path uses — bit-identical merge.
-  serve::SelectTopK(all, k);
-  resp.items = std::move(all);
-  SortUniqueShards(&missing);
-  resp.missing_shards = std::move(missing);
-  if (!resp.missing_shards.empty()) resp.degraded = true;
-  resp.snapshot_version = version;
-  resp.ok = true;
-  if (resp.degraded) {
-    n_degraded_.fetch_add(1, std::memory_order_relaxed);
-    BumpTelemetry("serve.shard.degraded_responses");
-  }
-  return resp;
-}
-
-serve::Response Router::Score(int32_t user, int32_t item,
-                              int64_t deadline_ms) {
-  serve::Response resp;
-  resp.trace_id = n_requests_.fetch_add(1, std::memory_order_relaxed) + 1;
-  OpGuard guard(this);
-  if (guard.shed()) {
-    n_shed_.fetch_add(1, std::memory_order_relaxed);
-    resp.error = "overloaded";
-    return resp;
-  }
-  if (!started_.load(std::memory_order_acquire)) {
-    resp.error = "router not started";
-    return resp;
-  }
-  const TimePoint deadline = DeadlineFor(deadline_ms);
-
-  int64_t max_version = 0;
-  for (const auto& e : shards_) {
-    max_version = std::max(
-        max_version, e->snapshot_version.load(std::memory_order_relaxed));
-  }
-  const auto degrade = [&](std::vector<int32_t> missing) {
-    resp.ok = true;
-    resp.degraded = true;
-    resp.score = 0.0f;
-    resp.snapshot_version = max_version;
-    resp.missing_shards = std::move(missing);
-    n_degraded_.fetch_add(1, std::memory_order_relaxed);
-    BumpTelemetry("serve.shard.degraded_responses");
-    return resp;
-  };
-
-  // Unknown user or item: the same neutral degraded score the
-  // single-process engine returns.
-  if (user < 0 || user >= num_users_ || item < 0 || item >= num_items_) {
-    return degrade({});
-  }
-  std::vector<float> query;
-  float norm = 0.0f;
-  bool failover = false;
-  std::vector<int32_t> missing;
-  if (!FetchUserVector(user, deadline, &query, &norm, &missing, &failover)) {
-    if (failover) {
-      n_failovers_.fetch_add(1, std::memory_order_relaxed);
-      BumpTelemetry("serve.shard.failovers");
-    }
-    return degrade(std::move(missing));
-  }
-
-  int item_shard = -1;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (item >= shards_[i]->id.item_begin &&
-        item < shards_[i]->id.item_end) {
-      item_shard = static_cast<int>(i);
-      break;
-    }
-  }
-  if (item_shard < 0) return degrade({});
-  JsonObject line;
-  line.Set("op", "score_item")
-      .Set("item", static_cast<int64_t>(item))
-      .Set("deadline_ms", std::max<int64_t>(RemainMs(deadline), 1))
-      .SetRaw("query", FloatsJson(query));
-  auto r = CallShard(item_shard, line.Build(), deadline);
-  PartialResult p;
-  if (!r.ok() || !ParsePartial(r.value(), &p) || !p.ok) {
-    return degrade({static_cast<int32_t>(item_shard)});
-  }
-  resp.ok = true;
-  resp.score = p.score;
-  resp.degraded = p.degraded;
-  resp.snapshot_version = p.version;
-  if (resp.degraded) {
-    n_degraded_.fetch_add(1, std::memory_order_relaxed);
-    BumpTelemetry("serve.shard.degraded_responses");
-  }
-  return resp;
+  return Ranked(/*similar=*/false, user, k, deadline_ms);
 }
 
 serve::Response Router::SimilarUsers(int32_t user, int k,
                                      int64_t deadline_ms) {
-  serve::Response resp;
-  resp.trace_id = n_requests_.fetch_add(1, std::memory_order_relaxed) + 1;
-  OpGuard guard(this);
-  if (guard.shed()) {
-    n_shed_.fetch_add(1, std::memory_order_relaxed);
-    resp.error = "overloaded";
-    return resp;
-  }
-  if (!started_.load(std::memory_order_acquire)) {
-    resp.error = "router not started";
-    return resp;
-  }
-  if (k <= 0) {
-    resp.error = "k must be positive";
-    return resp;
-  }
-  const TimePoint deadline = DeadlineFor(deadline_ms);
+  return Ranked(/*similar=*/true, user, k, deadline_ms);
+}
 
-  int64_t max_version = 0;
-  for (const auto& e : shards_) {
-    max_version = std::max(
-        max_version, e->snapshot_version.load(std::memory_order_relaxed));
-  }
-  std::vector<float> query;
-  float norm = 0.0f;
-  bool failover = false;
-  std::vector<int32_t> missing;
-  if (!FetchUserVector(user, deadline, &query, &norm, &missing, &failover)) {
-    // Without the query vector there is nothing to rank against —
-    // degraded empty answer (single-process parity for unknown users;
-    // attributed to the owner when it was a failover).
-    if (failover) {
-      n_failovers_.fetch_add(1, std::memory_order_relaxed);
-      BumpTelemetry("serve.shard.failovers");
+serve::Response Router::Score(int32_t user, int32_t item,
+                              int64_t deadline_ms) {
+  return Admit(deadline_ms, [&](TimePoint deadline, serve::Response* resp) {
+    // Unknown user or item: the same neutral degraded score the
+    // single-process engine returns.
+    if (user < 0 || user >= num_users_ || item < 0 || item >= num_items_) {
+      Degraded({}, resp);
+      return;
     }
-    resp.ok = true;
-    resp.degraded = true;
-    resp.snapshot_version = max_version;
-    SortUniqueShards(&missing);
-    resp.missing_shards = std::move(missing);
-    n_degraded_.fetch_add(1, std::memory_order_relaxed);
-    BumpTelemetry("serve.shard.degraded_responses");
-    return resp;
-  }
-
-  const int64_t rem = RemainMs(deadline);
-  if (rem <= 0) {
-    resp.error = "deadline exceeded";
-    return resp;
-  }
-  JsonObject line;
-  line.Set("op", "similar_partial")
-      .Set("user", static_cast<int64_t>(user))
-      .Set("k", static_cast<int64_t>(k))
-      .Set("norm", static_cast<double>(norm))
-      .Set("deadline_ms", rem)
-      .SetRaw("query", FloatsJson(query));
-  auto raw = Scatter(line.Build(), deadline);
-
-  std::vector<serve::ScoredItem> all;
-  int64_t version = 0;
-  int successes = 0;
-  std::string last_err;
-  for (size_t i = 0; i < raw.size(); ++i) {
-    PartialResult p;
-    if (!raw[i].ok()) {
-      last_err = raw[i].status().ToString();
-      missing.push_back(static_cast<int32_t>(i));
-      resp.degraded = true;
-      continue;
+    std::vector<float> query;
+    float norm = 0.0f;
+    std::vector<int32_t> missing;
+    if (!FetchUserVector(user, deadline, &query, &norm, &missing)) {
+      Degraded(std::move(missing), resp);
+      return;
     }
-    if (!ParsePartial(raw[i].value(), &p) || !p.ok) {
-      last_err = p.error.empty() ? "malformed shard response" : p.error;
-      missing.push_back(static_cast<int32_t>(i));
-      resp.degraded = true;
-      continue;
+    int item_shard = -1;
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      if (item >= shards_[i]->id.item_begin &&
+          item < shards_[i]->id.item_end) {
+        item_shard = static_cast<int>(i);
+        break;
+      }
     }
-    ++successes;
-    version = std::max(version, p.version);
-    all.insert(all.end(), p.items.begin(), p.items.end());
-  }
-  if (successes == 0) {
-    resp.error = "all shards unavailable: " + last_err;
-    return resp;
-  }
-  if (failpoint::Enabled()) {
-    Status st = failpoint::Check("shard.merge");
-    if (!st.ok()) {
-      resp.error = st.ToString();
-      return resp;
+    if (item_shard < 0) {
+      Degraded({}, resp);
+      return;
     }
-  }
-  serve::SelectTopK(all, k);
-  resp.items = std::move(all);
-  SortUniqueShards(&missing);
-  resp.missing_shards = std::move(missing);
-  if (!resp.missing_shards.empty()) resp.degraded = true;
-  resp.snapshot_version = version;
-  resp.ok = true;
-  if (resp.degraded) {
-    n_degraded_.fetch_add(1, std::memory_order_relaxed);
-    BumpTelemetry("serve.shard.degraded_responses");
-  }
-  return resp;
+    JsonObject line;
+    line.Set("op", "score_item")
+        .Set("item", item)
+        .Set("deadline_ms", std::max<int64_t>(RemainMs(deadline), 1))
+        .SetRaw("query", FloatsJson(query));
+    const ShardReply reply =
+        ReadShardReply(CallShard(item_shard, line.Build(), deadline),
+                       "malformed shard response");
+    if (!reply.ok) {
+      Degraded({static_cast<int32_t>(item_shard)}, resp);
+      return;
+    }
+    resp->ok = true;
+    resp->score = static_cast<float>(reply.body.NumberOr("score", 0.0));
+    resp->degraded = reply.body.BoolOr("degraded", false);
+    resp->snapshot_version = reply.version;
+  });
 }
 
 util::StatusOr<int64_t> Router::CoordinatedSwap(const std::string& prefix) {
@@ -847,17 +732,10 @@ util::StatusOr<int64_t> Router::CoordinatedSwap(const std::string& prefix) {
     if (!fp.ok()) {
       err = fp.ToString();
     } else {
-      auto r = CallShard(static_cast<int>(i), prep_line, swap_deadline());
-      if (!r.ok()) {
-        err = r.status().ToString();
-      } else {
-        auto parsed = util::ParseJson(r.value());
-        if (!parsed.ok()) {
-          err = "malformed prepare response";
-        } else if (!parsed.value().BoolOr("ok", false)) {
-          err = parsed.value().StringOr("error", "prepare refused");
-        }
-      }
+      const ShardReply reply = ReadShardReply(
+          CallShard(static_cast<int>(i), prep_line, swap_deadline()),
+          "malformed prepare response", "prepare refused");
+      err = reply.error;
     }
     if (!err.empty()) {
       abort_all();
@@ -876,25 +754,15 @@ util::StatusOr<int64_t> Router::CoordinatedSwap(const std::string& prefix) {
   int64_t version = 0;
   std::string commit_errs;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    auto r = CallShard(static_cast<int>(i), commit_line, swap_deadline());
-    std::string err;
-    if (!r.ok()) {
-      err = r.status().ToString();
-    } else {
-      auto parsed = util::ParseJson(r.value());
-      if (!parsed.ok() || !parsed.value().BoolOr("ok", false)) {
-        err = parsed.ok() ? parsed.value().StringOr("error", "commit refused")
-                          : "malformed commit response";
-      } else {
-        version = std::max(
-            version, static_cast<int64_t>(
-                         parsed.value().NumberOr("snapshot_version", 0)));
-      }
+    const ShardReply reply = ReadShardReply(
+        CallShard(static_cast<int>(i), commit_line, swap_deadline()),
+        "malformed commit response", "commit refused");
+    if (reply.ok) {
+      version = std::max(version, reply.version);
+      continue;
     }
-    if (!err.empty()) {
-      if (!commit_errs.empty()) commit_errs += "; ";
-      commit_errs += "shard " + std::to_string(i) + ": " + err;
-    }
+    if (!commit_errs.empty()) commit_errs += "; ";
+    commit_errs += "shard " + std::to_string(i) + ": " + reply.error;
   }
   if (!commit_errs.empty()) {
     return Status::Internal(

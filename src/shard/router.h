@@ -25,15 +25,19 @@
 //    client already gave up on. No op can hang: every wait is bounded.
 //  - Retries: transient transport failures (kInternal: refused / reset /
 //    EOF) retry with capped backoff while deadline budget remains;
-//    kDeadlineExceeded never retries. Counter serve.shard.retries.
+//    kDeadlineExceeded never retries. Counted as serve.shard.retries.
 //  - Hedging: with hedge_ms > 0, a dispatch still pending after hedge_ms
 //    launches a second attempt on a fresh connection; first success
-//    wins. Counter serve.shard.hedges.
+//    wins. Counted as serve.shard.hedges.
 //  - Partial degradation: item shards that stay unreachable are dropped
 //    from the gather — the response carries degraded:true and
 //    missing_shards naming them. An unreachable USER shard falls back
-//    to the popularity ranking (counter serve.shard.failovers). Only
+//    to the popularity ranking (counted as serve.shard.failovers). Only
 //    when every shard fails does an op return ok=false.
+//  - Counters: the router keeps its own atomics and nothing else —
+//    counters() returns them, and the stats op prints them as the fields
+//    serve.shard.{retries,hedges,failovers,degraded_responses}. They are
+//    not telemetry-registry counters, so no metrics exporter sees them.
 //  - Shedding: with max_inflight > 0, ops beyond the in-flight bound get
 //    an immediate ok=false "overloaded" (the PR-5 admission-control
 //    signal, applied fleet-wide); per-shard probe responses surface each
@@ -164,9 +168,10 @@ class Router {
   // SIGTERM drain barrier before serve_end.
   void BeginDrain();
 
-  // {"ok":true,"op":"stats",...}: serve.shard.* counters plus per-shard
-  // health, load and rolling 1s/10s/60s windows of router-observed
-  // qps/latency.
+  // {"ok":true,"op":"stats",...}: the router's counters (as fields
+  // requests, serve.shard.{retries,hedges,failovers,degraded_responses}
+  // and shed) plus per-shard health, load and rolling 1s/10s/60s windows
+  // of router-observed qps/latency.
   std::string StatsJson();
 
   RouterCounters counters() const;
@@ -231,13 +236,27 @@ class Router {
   util::Status ProbeShardOnce(ShardEntry& e, ShardIdentity* id_out);
   void ProbeLoop();
   void TickWindows();
-  // Fetches the user's scoring vector from the owning shard. Returns:
-  // true + vector/norm on success; false with *fallback=true when the
-  // answer must degrade (owner unreachable -> missing/failover, or the
-  // engine reported the user unknown).
+  // Fetches the user's scoring vector from the owning shard: true with
+  // vector and norm, false when the answer must degrade. False for a
+  // user unknown fleet-wide or to its owner (the single-process
+  // fallback), and for an unreachable owner — which joins *missing and
+  // counts as a failover.
   bool FetchUserVector(int32_t user, TimePoint deadline,
                        std::vector<float>* vec, float* norm,
-                       std::vector<int32_t>* missing, bool* failover);
+                       std::vector<int32_t>* missing);
+  // The admission every client op shares: trace id, the in-flight bound
+  // (its guard covers `body`), the started check and the op deadline.
+  // `body(deadline, &resp)` runs the op; an ok, degraded reply is
+  // counted here and nowhere else.
+  template <typename Body>
+  serve::Response Admit(int64_t deadline_ms, Body body);
+  // TopK (similar=false) and SimilarUsers (similar=true): the k check,
+  // the user's vector, one scatter of the partial op and one merge.
+  serve::Response Ranked(bool similar, int32_t user, int k,
+                         int64_t deadline_ms);
+  // The degraded answer for an op with nothing left to ask the shards,
+  // at the newest snapshot version the probes have seen.
+  void Degraded(std::vector<int32_t> missing, serve::Response* resp);
   void IncAttempts();
   void DecAttempts();
 
@@ -255,7 +274,6 @@ class Router {
   std::condition_variable probe_cv_;
   std::chrono::steady_clock::time_point last_tick_{};
 
-  std::atomic<int64_t> trace_seq_{0};
   std::atomic<int64_t> swap_seq_{0};
   std::atomic<int64_t> n_requests_{0};
   std::atomic<int64_t> n_retries_{0};

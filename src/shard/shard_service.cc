@@ -241,9 +241,17 @@ std::string ShardService::Burst(const JsonValue& req) {
   const int n = static_cast<int>(requested);
   serve::Request base;
   base.type = serve::Request::Type::kTopK;
-  base.user = static_cast<int32_t>(req.NumberOr("user", 0));
-  base.k = static_cast<int>(req.NumberOr("k", 10));
-  base.timeout_ms = static_cast<int64_t>(req.NumberOr("deadline_ms", 0));
+  base.user = 0;
+  base.k = 10;
+  base.timeout_ms = 0;
+  const auto refuse = [](const char* field) {
+    return ErrorReply(FieldOutOfRange(field).message());
+  };
+  if (!req.ReadInt("user", &base.user)) return refuse("user");
+  if (!req.ReadInt("k", &base.k)) return refuse("k");
+  if (!req.ReadInt("deadline_ms", &base.timeout_ms)) {
+    return refuse("deadline_ms");
+  }
   std::vector<serve::Response> responses(static_cast<size_t>(n));
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(n));
@@ -307,7 +315,12 @@ bool ShardService::HandleShardOp(const JsonValue& req, const std::string& op,
   } else {
     return false;
   }
-  serve::Request request = ScoringRequest(req, type);
+  auto parsed = ScoringRequest(req, type);
+  if (!parsed.ok()) {
+    *out = ErrorLine(op, parsed.status().message());
+    return true;
+  }
+  serve::Request request = std::move(parsed).value();
   request.popularity = req.BoolOr("popularity", false);
   request.query_norm = static_cast<float>(req.NumberOr("norm", 0.0));
   const JsonValue* query = req.Find("query");
@@ -356,8 +369,9 @@ std::string ShardService::Handle(const JsonValue& req) {
   if (op == "burst") return Burst(req);
   serve::Request::Type type;
   if (!ClientOpType(op, &type)) return ErrorReply("unknown op '" + op + "'");
-  const serve::Request request = ScoringRequest(req, type);
-  return ClientReply(op, request, engine_.Handle(request));
+  auto request = ScoringRequest(req, type);
+  if (!request.ok()) return ErrorReply(request.status().message());
+  return ClientReply(op, request.value(), engine_.Handle(request.value()));
 }
 
 }  // namespace dgnn::shard

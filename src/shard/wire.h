@@ -4,10 +4,12 @@
 //
 // Bit-identity across the wire is the whole point: floats are widened to
 // double and printed with util::JsonDouble (%.17g), which round-trips
-// every float value exactly, and parsed numbers are narrowed back with a
+// every float value exactly, and parsed floats are narrowed back with a
 // plain static_cast — so a score or query vector that crosses a process
 // boundary is the SAME float on both sides, and the router's merged
-// top-k can be memcmp-identical to a single-process scan.
+// top-k can be memcmp-identical to a single-process scan. Integers come
+// back through util::NarrowInt, which refuses a number its field cannot
+// hold instead of casting it.
 
 #ifndef DGNN_SHARD_WIRE_H_
 #define DGNN_SHARD_WIRE_H_
@@ -74,8 +76,9 @@ inline bool ParseItems(const util::JsonValue* v,
         !score->is_number()) {
       return false;
     }
-    out->push_back({static_cast<int32_t>(item->number),
-                    static_cast<float>(score->number)});
+    int32_t id = 0;
+    if (!util::NarrowInt(item->number, &id)) return false;
+    out->push_back({id, static_cast<float>(score->number)});
   }
   return true;
 }
@@ -114,16 +117,28 @@ inline bool ClientOpType(const std::string& op, serve::Request::Type* type) {
   return true;
 }
 
+// The error for a request number that does not fit its field.
+inline util::Status FieldOutOfRange(const std::string& field) {
+  return util::Status::InvalidArgument("\"" + field + "\" is out of range");
+}
+
 // Reads the fields every scoring request carries: user and item (default
-// -1), k (default 10) and deadline_ms (default 0, the server's own).
-inline serve::Request ScoringRequest(const util::JsonValue& req,
-                                     serve::Request::Type type) {
+// -1), k (default 10) and deadline_ms (default 0, the server's own). A
+// number its field cannot hold fails with an error naming the field.
+inline util::StatusOr<serve::Request> ScoringRequest(
+    const util::JsonValue& req, serve::Request::Type type) {
   serve::Request request;
   request.type = type;
-  request.user = static_cast<int32_t>(req.NumberOr("user", -1));
-  request.item = static_cast<int32_t>(req.NumberOr("item", -1));
-  request.k = static_cast<int>(req.NumberOr("k", 10));
-  request.timeout_ms = static_cast<int64_t>(req.NumberOr("deadline_ms", 0));
+  request.user = -1;
+  request.item = -1;
+  request.k = 10;
+  request.timeout_ms = 0;
+  if (!req.ReadInt("user", &request.user)) return FieldOutOfRange("user");
+  if (!req.ReadInt("item", &request.item)) return FieldOutOfRange("item");
+  if (!req.ReadInt("k", &request.k)) return FieldOutOfRange("k");
+  if (!req.ReadInt("deadline_ms", &request.timeout_ms)) {
+    return FieldOutOfRange("deadline_ms");
+  }
   return request;
 }
 

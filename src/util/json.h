@@ -13,7 +13,9 @@
 #ifndef DGNN_UTIL_JSON_H_
 #define DGNN_UTIL_JSON_H_
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -86,7 +88,35 @@ struct JsonValue {
   double NumberOr(std::string_view key, double def) const;
   std::string StringOr(std::string_view key, std::string_view def) const;
   bool BoolOr(std::string_view key, bool def) const;
+  // Narrows member `key` into *out (see NarrowInt) when it is a number;
+  // an absent or non-number member leaves *out as it is, the way
+  // NumberOr falls back to its default. False only for a number that
+  // does not fit Int.
+  template <typename Int>
+  bool ReadInt(std::string_view key, Int* out) const;
 };
+
+// Narrows a parsed JSON number to a signed Int, truncating toward zero
+// as static_cast does. False, with *out untouched, for NaN, infinities
+// and values whose truncation Int cannot hold: casting those is
+// undefined behaviour, and JSON numbers arrive from any client.
+template <typename Int>
+bool NarrowInt(double x, Int* out) {
+  static_assert(std::numeric_limits<Int>::is_integer &&
+                std::numeric_limits<Int>::is_signed);
+  // -2^(bits-1) is an exact double, and so is its negation, one past max.
+  constexpr double kMin = static_cast<double>(std::numeric_limits<Int>::min());
+  const double t = std::trunc(x);
+  if (!(t >= kMin && t < -kMin)) return false;
+  *out = static_cast<Int>(t);
+  return true;
+}
+
+template <typename Int>
+bool JsonValue::ReadInt(std::string_view key, Int* out) const {
+  const JsonValue* v = Find(key);
+  return v == nullptr || !v->is_number() || NarrowInt(v->number, out);
+}
 
 // Parses exactly one JSON value spanning the whole input (surrounding
 // whitespace allowed). Rejects trailing content, unterminated literals,

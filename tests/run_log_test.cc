@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,6 +100,43 @@ TEST(JsonTest, ParserRejectsMalformedInput) {
   std::string deep(100, '[');
   deep += std::string(100, ']');
   EXPECT_FALSE(util::ParseJson(deep).ok());
+}
+
+TEST(JsonTest, NarrowIntTruncatesInRangeAndRefusesTheRest) {
+  int32_t i = 7;
+  EXPECT_TRUE(util::NarrowInt(3.7, &i));
+  EXPECT_EQ(i, 3);
+  EXPECT_TRUE(util::NarrowInt(-3.7, &i));
+  EXPECT_EQ(i, -3);
+  EXPECT_TRUE(util::NarrowInt(2147483647.9, &i));
+  EXPECT_EQ(i, 2147483647);
+  EXPECT_TRUE(util::NarrowInt(-2147483648.9, &i));
+  EXPECT_EQ(i, -2147483647 - 1);
+  for (double bad : {2147483648.0, -2147483649.0, 1e20, -1e20,
+                     std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    i = 7;
+    EXPECT_FALSE(util::NarrowInt(bad, &i)) << bad;
+    EXPECT_EQ(i, 7) << bad;  // untouched
+  }
+  int64_t l = 0;
+  EXPECT_TRUE(util::NarrowInt(-9223372036854775808.0, &l));
+  EXPECT_EQ(l, std::numeric_limits<int64_t>::min());
+  EXPECT_FALSE(util::NarrowInt(9223372036854775808.0, &l));
+  EXPECT_FALSE(util::NarrowInt(1e300, &l));
+
+  // ReadInt: absent and non-number members keep the default.
+  auto v = util::ParseJson(R"({"a":5,"b":"5","c":1e20})");
+  ASSERT_TRUE(v.ok());
+  int32_t a = -1, b = -1, c = -1, d = -1;
+  EXPECT_TRUE(v.value().ReadInt("a", &a));
+  EXPECT_TRUE(v.value().ReadInt("b", &b));
+  EXPECT_FALSE(v.value().ReadInt("c", &c));
+  EXPECT_TRUE(v.value().ReadInt("d", &d));
+  EXPECT_EQ(a, 5);
+  EXPECT_EQ(b, -1);
+  EXPECT_EQ(c, -1);
+  EXPECT_EQ(d, -1);
 }
 
 // ----- Run log --------------------------------------------------------------

@@ -4,16 +4,20 @@
 // single-process engine, the kill-one-shard matrix (degraded:true with
 // correct missing-shard attribution, popularity failover for a down
 // user shard, hard failure only when every shard is gone, probe-driven
-// recovery after restart), retry/hedging behavior under failpoints, the
-// two-phase coordinated swap (commit everywhere / abort everywhere),
-// and the drain barrier. A last test drives every client op through
+// recovery after restart, exact degraded/failover counter deltas per op
+// and fleet state), shard replies and probes carrying numbers no int can
+// hold, retry/hedging behavior under failpoints, the two-phase
+// coordinated swap (commit everywhere / abort everywhere), and the drain
+// barrier. The last tests drive client ops through
 // ShardService::HandleLine, the one request->reply function behind both
-// dgnn_serve front doors.
+// dgnn_serve front doors, out-of-range numbers and a k past the catalog
+// included.
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -176,6 +180,39 @@ class ShardRouterTest : public ::testing::Test {
     return single_->Handle(r);
   }
 
+  // One router op with the degraded and failover counts it added.
+  struct Counted {
+    Response resp;
+    int64_t degraded = 0;
+    int64_t failovers = 0;
+  };
+  template <typename Op>
+  Counted Count(Op op) {
+    const shard::RouterCounters before = router_->counters();
+    Counted c;
+    c.resp = op();
+    const shard::RouterCounters after = router_->counters();
+    c.degraded = after.degraded_responses - before.degraded_responses;
+    c.failovers = after.failovers - before.failovers;
+    return c;
+  }
+
+  // Replaces worker `s`'s socket server with one whose handler is
+  // `rewrite(line, service reply)` — a worker that misbehaves on the wire.
+  template <typename Rewrite>
+  void ServeRewritten(int s, Rewrite rewrite) {
+    Worker& w = *workers_[static_cast<size_t>(s)];
+    w.Kill();
+    w.server = std::make_unique<shard::SocketServer>();
+    ASSERT_TRUE(w.server
+                    ->Start(w.socket_path,
+                            [&w, rewrite](const std::string& line) {
+                              return rewrite(line,
+                                             w.service->HandleLine(line));
+                            })
+                    .ok());
+  }
+
   std::unique_ptr<data::Dataset> dataset_;
   std::unique_ptr<graph::HeteroGraph> graph_;
   std::unique_ptr<models::BprMf> model_;
@@ -333,10 +370,176 @@ TEST_F(ShardRouterTest, AllShardsDownFailsInsteadOfDegrading) {
   shard::RouterConfig c = FastConfig();
   c.default_deadline_ms = 1500;
   StartRouter(std::move(c));
+  const int32_t user = UserOwnedBy(0);
   for (auto& w : workers_) w->Kill();
-  const Response got = router_->TopK(3, 10);
-  EXPECT_FALSE(got.ok);
-  EXPECT_FALSE(got.error.empty());
+
+  // topk fails outright: a failed reply is never counted degraded, even
+  // though its owner lookup already counted a failover.
+  const Counted topk = Count([&] { return router_->TopK(user, 10); });
+  EXPECT_FALSE(topk.resp.ok);
+  EXPECT_EQ(topk.resp.error.rfind("all shards unavailable: ", 0), 0u)
+      << topk.resp.error;
+  EXPECT_EQ(topk.degraded, 0);
+  EXPECT_EQ(topk.failovers, 1);
+  // score and similar_users stop at the unreachable owner and answer the
+  // degraded fallback, which is counted.
+  for (const Counted& got :
+       {Count([&] { return router_->Score(user, 3); }),
+        Count([&] { return router_->SimilarUsers(user, 5); })}) {
+    ASSERT_TRUE(got.resp.ok) << got.resp.error;
+    EXPECT_TRUE(got.resp.degraded);
+    EXPECT_EQ(got.resp.missing_shards, std::vector<int32_t>{0});
+    EXPECT_EQ(got.degraded, 1);
+    EXPECT_EQ(got.failovers, 1);
+  }
+}
+
+TEST_F(ShardRouterTest, SimilarUsersWithDeadShardDropsOnlyItsUsers) {
+  StartRouter(FastConfig());
+  // Shard 2 holds a slice of the users ranked, not the query user.
+  const int32_t user = UserOwnedBy(0);
+  workers_[2]->Kill();
+
+  const Counted got = Count([&] { return router_->SimilarUsers(user, 5); });
+  ASSERT_TRUE(got.resp.ok) << got.resp.error;
+  EXPECT_TRUE(got.resp.degraded);
+  EXPECT_EQ(got.resp.missing_shards, std::vector<int32_t>{2});
+  EXPECT_EQ(got.degraded, 1);
+  EXPECT_EQ(got.failovers, 0);
+  // Bit-identical to the single process with shard 2's users deleted.
+  Request wide_req;
+  wide_req.type = Request::Type::kSimilarUsers;
+  wide_req.user = user;
+  wide_req.k = static_cast<int>(full_.meta.num_users);
+  const Response wide = single_->Handle(wide_req);
+  Response want;
+  want.ok = true;
+  for (const auto& it : wide.items) {
+    if (router_->OwnerShard(it.item) != 2) want.items.push_back(it);
+    if (want.items.size() == 5u) break;
+  }
+  ExpectBitIdentical(want, got.resp);
+}
+
+TEST_F(ShardRouterTest, SimilarUsersWithDeadOwnerDegradesToEmpty) {
+  StartRouter(FastConfig());
+  const int32_t user = UserOwnedBy(1);
+  workers_[1]->Kill();
+
+  const Counted got = Count([&] { return router_->SimilarUsers(user, 5); });
+  ASSERT_TRUE(got.resp.ok) << got.resp.error;
+  EXPECT_TRUE(got.resp.degraded);
+  EXPECT_TRUE(got.resp.items.empty());
+  EXPECT_EQ(got.resp.missing_shards, std::vector<int32_t>{1});
+  // The newest version the probes saw: every worker loaded once.
+  EXPECT_EQ(got.resp.snapshot_version, 1);
+  EXPECT_EQ(got.degraded, 1);
+  EXPECT_EQ(got.failovers, 1);
+}
+
+// Exact counter deltas for every op in each fleet state: one degraded
+// count per ok degraded reply, one failover per unreachable owner.
+TEST_F(ShardRouterTest, CounterDeltasPerOpAndKillCase) {
+  StartRouter(FastConfig());
+  struct Case {
+    const char* name;
+    std::function<Response()> op;
+    std::vector<int32_t> missing;
+    int64_t degraded;
+    int64_t failovers;
+  };
+  const auto run = [&](const std::vector<Case>& cases) {
+    for (const Case& c : cases) {
+      const Counted got = Count(c.op);
+      ASSERT_TRUE(got.resp.ok) << c.name << ": " << got.resp.error;
+      EXPECT_EQ(got.resp.degraded, c.degraded == 1) << c.name;
+      EXPECT_EQ(got.resp.missing_shards, c.missing) << c.name;
+      EXPECT_EQ(got.degraded, c.degraded) << c.name;
+      EXPECT_EQ(got.failovers, c.failovers) << c.name;
+    }
+  };
+  const int32_t live_user = UserOwnedBy(0);
+  const int32_t dead_user = UserOwnedBy(2);
+  const auto dead = workers_[2]->engine->snapshot()->shard;
+  const auto live = workers_[0]->engine->snapshot()->shard;
+  const auto dead_item = static_cast<int32_t>(dead.item_begin);
+  const auto live_item = static_cast<int32_t>(live.item_begin);
+  const auto unknown = static_cast<int32_t>(full_.meta.num_users + 3);
+
+  run({
+      {"full topk", [&] { return router_->TopK(live_user, 10); }, {}, 0, 0},
+      {"full score", [&] { return router_->Score(live_user, dead_item); },
+       {}, 0, 0},
+      {"full similar", [&] { return router_->SimilarUsers(live_user, 5); },
+       {}, 0, 0},
+      {"unknown topk", [&] { return router_->TopK(unknown, 10); }, {}, 1, 0},
+      {"unknown score", [&] { return router_->Score(unknown, live_item); },
+       {}, 1, 0},
+      {"unknown similar", [&] { return router_->SimilarUsers(unknown, 5); },
+       {}, 1, 0},
+  });
+
+  workers_[2]->Kill();
+  run({
+      {"dead item shard topk", [&] { return router_->TopK(live_user, 10); },
+       {2}, 1, 0},
+      {"dead item shard score",
+       [&] { return router_->Score(live_user, dead_item); }, {2}, 1, 0},
+      {"live item shard score",
+       [&] { return router_->Score(live_user, live_item); }, {}, 0, 0},
+      {"dead item shard similar",
+       [&] { return router_->SimilarUsers(live_user, 5); }, {2}, 1, 0},
+      {"dead owner topk", [&] { return router_->TopK(dead_user, 10); }, {2},
+       1, 1},
+      {"dead owner score",
+       [&] { return router_->Score(dead_user, live_item); }, {2}, 1, 1},
+      {"dead owner similar",
+       [&] { return router_->SimilarUsers(dead_user, 5); }, {2}, 1, 1},
+  });
+}
+
+TEST_F(ShardRouterTest, OutOfRangeShardReplyCountsAsMissingShard) {
+  // Worker 2 answers every partial and score_item with a number no int
+  // can hold; the router must treat the reply as malformed.
+  ServeRewritten(2, [](const std::string& line, std::string reply) {
+    if (line.find("\"topk_partial\"") != std::string::npos) {
+      return std::string(
+          "{\"ok\":true,\"snapshot_version\":1,"
+          "\"items\":[{\"item\":1e20,\"score\":1}]}");
+    }
+    if (line.find("\"similar_partial\"") != std::string::npos ||
+        line.find("\"score_item\"") != std::string::npos) {
+      return std::string(
+          "{\"ok\":true,\"snapshot_version\":1e30,\"items\":[],"
+          "\"score\":1}");
+    }
+    return reply;
+  });
+  StartRouter(FastConfig());
+  const int32_t user = UserOwnedBy(0);
+  const auto dead_item =
+      static_cast<int32_t>(workers_[2]->engine->snapshot()->shard.item_begin);
+  for (const Response& got :
+       {router_->TopK(user, 10), router_->SimilarUsers(user, 5),
+        router_->Score(user, dead_item)}) {
+    ASSERT_TRUE(got.ok) << got.error;
+    EXPECT_TRUE(got.degraded);
+    EXPECT_EQ(got.missing_shards, std::vector<int32_t>{2});
+    EXPECT_EQ(got.snapshot_version, 1);
+  }
+}
+
+TEST_F(ShardRouterTest, StartRefusesOutOfRangeProbe) {
+  // The first "dim" member wins, so this probe reports an impossible dim.
+  ServeRewritten(1, [](const std::string& line, std::string reply) {
+    if (line.find("\"probe\"") == std::string::npos) return reply;
+    return "{\"dim\":1e300," + reply.substr(1);
+  });
+  shard::Router router(FastConfig());
+  const util::Status s = router.Start();
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find("malformed probe response"), std::string::npos)
+      << s.ToString();
 }
 
 TEST_F(ShardRouterTest, ProbesTakeDeadShardDownAndRecoverAfterRestart) {
@@ -536,14 +739,18 @@ std::vector<std::string> Keys(const util::JsonValue& v) {
   return keys;
 }
 
-TEST(ShardServiceTest, EveryClientOpAnswersThroughHandleLine) {
+// The tiny synthetic world's snapshot, as every door test serves it.
+Snapshot DoorSnapshot() {
   const data::Dataset dataset =
       data::GenerateSynthetic(data::SyntheticConfig::Tiny());
   const graph::HeteroGraph graph(dataset);
   models::BprMf model(graph, 8, 5);
   train::Recommender recommender(model, dataset);
-  const Snapshot snap =
-      serve::BuildSnapshot(recommender, dataset, "BPR-MF", "door-test");
+  return serve::BuildSnapshot(recommender, dataset, "BPR-MF", "door-test");
+}
+
+TEST(ShardServiceTest, EveryClientOpAnswersThroughHandleLine) {
+  const Snapshot snap = DoorSnapshot();
   const std::string path = TestPath("door_a.snap");
   const std::string other = TestPath("door_b.snap");
   const std::string corrupt = TestPath("door_corrupt.snap");
@@ -663,6 +870,95 @@ TEST(ShardServiceTest, EveryClientOpAnswersThroughHandleLine) {
   // The served snapshot after swap + reload is still the one from `path`.
   r = Reply(service, "{\"op\":\"topk\",\"user\":3,\"k\":5}");
   EXPECT_EQ(r.NumberOr("snapshot_version", 0), 3);
+}
+
+// Request numbers a field cannot hold are refused by name, before any
+// engine sees them: a cast would be undefined behaviour.
+TEST(ShardServiceTest, OutOfRangeNumbersAreRefusedNamingTheField) {
+  ServingEngine engine;
+  engine.Swap(std::make_shared<const Snapshot>(DoorSnapshot()));
+  shard::ShardService service(engine, "");
+  const struct {
+    const char* line;
+    const char* field;
+  } cases[] = {
+      {R"({"op":"topk","user":1e20,"k":5})", "user"},
+      {R"({"op":"topk","user":2147483648,"k":5})", "user"},
+      {R"({"op":"similar_users","user":-1e20,"k":5})", "user"},
+      {R"({"op":"score","user":3,"item":-1e20})", "item"},
+      {R"({"op":"topk","user":3,"k":1e12})", "k"},
+      {R"({"op":"topk","user":3,"k":5,"deadline_ms":1e300})", "deadline_ms"},
+      {R"({"op":"score","user":3,"item":7,"deadline_ms":-1e300})",
+       "deadline_ms"},
+      {R"({"op":"burst","n":4,"user":1e20})", "user"},
+      {R"({"op":"burst","n":4,"user":3,"k":1e12})", "k"},
+      {R"({"op":"burst","n":4,"user":3,"deadline_ms":1e300})",
+       "deadline_ms"},
+      {R"({"op":"user_vector","user":1e20})", "user"},
+      {R"({"op":"topk_partial","k":1e12,"popularity":true})", "k"},
+      {R"({"op":"score_item","item":1e20,"query":[0]})", "item"},
+  };
+  for (const auto& c : cases) {
+    const util::JsonValue r = Reply(service, c.line);
+    EXPECT_FALSE(r.BoolOr("ok", true)) << c.line;
+    EXPECT_EQ(r.StringOr("error", ""),
+              std::string("\"") + c.field + "\" is out of range")
+        << c.line;
+  }
+  EXPECT_EQ(engine.stats().requests, 0);
+
+  // In-range numbers are read as before: truncated toward zero, the int
+  // bounds included, and a deadline far past any op still answers.
+  util::JsonValue r = Reply(service, R"({"op":"topk","user":3.7,"k":5.9})");
+  EXPECT_EQ(r.NumberOr("user", 0), 3);
+  EXPECT_EQ(r.NumberOr("k", 0), 5);
+  r = Reply(service, R"({"op":"topk","user":2147483647,"k":5})");
+  EXPECT_TRUE(r.BoolOr("ok", false));
+  EXPECT_TRUE(r.BoolOr("degraded", false));
+  EXPECT_EQ(r.NumberOr("user", 0), 2147483647);
+  r = Reply(service, R"({"op":"score","user":3,"item":-2147483648})");
+  EXPECT_TRUE(r.BoolOr("ok", false));
+  EXPECT_EQ(r.NumberOr("item", 0), -2147483648.0);
+  r = Reply(service, R"({"op":"topk","user":3,"k":5,"deadline_ms":1e15})");
+  EXPECT_TRUE(r.BoolOr("ok", false)) << r.StringOr("error", "");
+}
+
+// A k past the catalog answers like k = catalog size and echoes the k
+// asked for, on dense and on quantized (IVF-probed) storage alike.
+TEST(ShardServiceTest, KPastTheCatalogRanksTheWholeCatalog) {
+  for (const bool quantized : {false, true}) {
+    SCOPED_TRACE(quantized ? "int8 + IVF" : "fp32");
+    auto snap = std::make_shared<Snapshot>(DoorSnapshot());
+    serve::EngineConfig config;
+    if (quantized) {
+      index::IvfConfig ivf;
+      ivf.nlist = 4;
+      ASSERT_TRUE(serve::BuildSnapshotIndex(snap.get(), ivf).ok());
+      ASSERT_TRUE(
+          serve::QuantizeSnapshot(snap.get(), quant::Codec::kInt8).ok());
+      config.nprobe = 2;
+    }
+    const int64_t items = snap->meta.num_items;
+    const int64_t users = snap->meta.num_users;
+    ServingEngine engine(config);
+    engine.Swap(std::move(snap));
+    shard::ShardService service(engine, "");
+    // The items array closes every ranked reply.
+    const auto items_of = [&](const std::string& line) {
+      const std::string out = service.HandleLine(line);
+      EXPECT_NE(out.find("\"ok\":true"), std::string::npos) << out;
+      const size_t at = out.find("\"items\":");
+      return at == std::string::npos ? out : out.substr(at);
+    };
+    for (const auto& [op, n] : {std::pair<std::string, int64_t>{"topk", items},
+                                {"similar_users", users}}) {
+      const std::string head = R"({"op":")" + op + R"(","user":3,"k":)";
+      const std::string huge = head + "1000000000}";
+      EXPECT_EQ(items_of(huge), items_of(head + std::to_string(n) + "}"))
+          << op;
+      EXPECT_EQ(Reply(service, huge).NumberOr("k", 0), 1e9) << op;
+    }
+  }
 }
 
 }  // namespace
